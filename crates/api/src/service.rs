@@ -395,9 +395,9 @@ impl NckService {
     /// [`QueryResponse::secs`].
     pub fn query(&self, request: &QueryRequest) -> Result<QueryResponse, ApiError> {
         let query = self.resolve(request)?;
-        let _cap = ScopedThreadCap::apply(requested_threads(request), self.config.threads);
+        let overrides = self.pipeline_overrides(request)?;
         let started = Instant::now();
-        let result = match effective_overrides(request) {
+        let result = match overrides {
             Some(overrides) => self.run_with_overrides(&query, overrides)?,
             None => self.engine.run(&query)?,
         };
@@ -408,19 +408,19 @@ impl NckService {
 
     /// Answers a batch. Requests without overrides execute through the
     /// engine's batch planner (dedup + seed clustering + shared caches);
-    /// requests with overrides run one-off pipelines. Responses come back
-    /// in input order.
+    /// requests with overrides run one-off pipelines. Every request is
+    /// validated before any of them runs. Responses come back in input
+    /// order.
     pub fn batch(&self, requests: &[QueryRequest]) -> Result<Vec<QueryResponse>, ApiError> {
-        let _cap = ScopedThreadCap::apply(
-            requests.iter().find_map(requested_threads),
-            self.config.threads,
-        );
+        let planned = requests
+            .iter()
+            .map(|r| Ok((r, self.resolve(r)?, self.pipeline_overrides(r)?)))
+            .collect::<Result<Vec<_>, ApiError>>()?;
         let mut engine_queries: Vec<Query> = Vec::new();
         let mut engine_positions: Vec<usize> = Vec::new();
         let mut out: Vec<Option<QueryResponse>> = vec![None; requests.len()];
-        for (i, request) in requests.iter().enumerate() {
-            let query = self.resolve(request)?;
-            match effective_overrides(request) {
+        for (i, (request, query, overrides)) in planned.into_iter().enumerate() {
+            match overrides {
                 Some(overrides) => {
                     let result = self.run_with_overrides(&query, overrides)?;
                     // lint: allow(panic_path) — `i` enumerates `requests`, and `out` was sized to `requests.len()`
@@ -433,16 +433,7 @@ impl NckService {
             }
         }
         if !engine_queries.is_empty() {
-            // `ppr_block_width` is a pure performance knob, so — like the
-            // `threads` cap above — the first request carrying one governs
-            // the whole batch call without forking anyone off the shared
-            // engine (answers are identical at any width).
-            let width = requests
-                .iter()
-                .find_map(|r| r.overrides.as_ref().and_then(|o| o.ppr_block_width));
-            let results = self
-                .engine
-                .run_batch_with_block_width(&engine_queries, width)?;
+            let results = self.engine.run_batch(&engine_queries)?;
             for (pos, result) in engine_positions.into_iter().zip(&results) {
                 // lint: allow(panic_path) — `pos` came from enumerating `requests`; `out` is `requests.len()` long
                 out[pos] = Some(self.response_for(&requests[pos], result));
@@ -464,10 +455,6 @@ impl NckService {
         I: IntoIterator<Item = QueryRequest>,
     {
         let requests: Vec<QueryRequest> = requests.into_iter().collect();
-        let _cap = ScopedThreadCap::apply(
-            requests.iter().find_map(requested_threads),
-            self.config.threads,
-        );
         let mut queries = Vec::with_capacity(requests.len());
         for request in &requests {
             if effective_overrides(request).is_some() {
@@ -522,29 +509,6 @@ impl NckService {
         for _ in 0..repeat {
             workload.extend(base.iter().cloned());
         }
-        // Every phase of this workload runs under the requested thread
-        // cap, restored when the workload ends (falling back to the
-        // service engine configuration's cap, then the machine). The
-        // cap is purely a performance knob — chunking, which randomized
-        // results depend on, never moves — so every phase still answers
-        // bit-identically.
-        let _cap = ScopedThreadCap::apply(request.threads, self.config.threads);
-        let mut phase_config = self.config.clone();
-        if request.threads.is_some() {
-            phase_config.threads = request.threads;
-        }
-        if let Some(width) = request.ppr_block_width {
-            // Like `threads`: a per-workload performance knob. The fresh
-            // benchmark engines below inherit it; results are identical
-            // at any width (pinned by the engine's block-parity tests).
-            phase_config.ppr_block_width = width;
-        }
-        if let Some(on) = request.score_sweep {
-            // Same story for the scoring path: the sweep and the
-            // per-label loop answer bit-identically (pinned by the
-            // score-sweep parity suite), so this only moves timings.
-            phase_config.findnc.score_sweep = on;
-        }
 
         if request.mode == WorkloadMode::Compare {
             // Level the substrate between the two timed phases: fault
@@ -572,7 +536,7 @@ impl NckService {
             // per-workload by construction. Backend-level state (the
             // store's per-predicate runs) is shared by design and leveled
             // above for compare mode.
-            let engine = QueryEngine::new(self.graph.clone(), phase_config.clone())?;
+            let engine = QueryEngine::new(self.graph.clone(), self.config.clone())?;
             let started = Instant::now();
             let results = if request.chunk > 0 {
                 engine.run_stream(workload.iter().cloned(), request.chunk)?
@@ -624,9 +588,7 @@ impl NckService {
         // above are the exactness reference — every concurrent response
         // must match them id for id, or the phase fails the workload.
         let concurrent = match request.clients {
-            Some(clients) => {
-                Some(self.concurrent_phase(clients.max(1), &workload, &results, &phase_config)?)
-            }
+            Some(clients) => Some(self.concurrent_phase(clients.max(1), &workload, &results)?),
             None => None,
         };
 
@@ -662,9 +624,8 @@ impl NckService {
         clients: usize,
         workload: &[Query],
         reference: &[Arc<SearchResult>],
-        config: &EngineConfig,
     ) -> Result<ConcurrentReport, ApiError> {
-        let engine = QueryEngine::new(self.graph.clone(), config.clone())?;
+        let engine = QueryEngine::new(self.graph.clone(), self.config.clone())?;
         let started = Instant::now();
         type ClientRun = Result<(Vec<Arc<SearchResult>>, Vec<f64>), CoreError>;
         let per_client: Vec<ClientRun> = std::thread::scope(|s| {
@@ -730,6 +691,32 @@ impl NckService {
             .map_err(ApiError::from_resolution)
     }
 
+    /// The request's overrides, if it sets any, after checking that the
+    /// effective selector — the overridden one, else the engine's — reads
+    /// every one of them. `epsilon` tunes only RandomWalk's PageRank and
+    /// `walks` only ContextRW's PathMining; either one under the other
+    /// selector would buy a cold uncached run whose answer ignores it, so
+    /// it is an [`ApiError::InvalidRequest`] instead.
+    fn pipeline_overrides<'r>(
+        &self,
+        request: &'r QueryRequest,
+    ) -> Result<Option<&'r QueryOverrides>, ApiError> {
+        let Some(overrides) = effective_overrides(request) else {
+            return Ok(None);
+        };
+        let selector = overrides.selector.unwrap_or(self.config.selector);
+        let ignored = match selector {
+            SelectorMode::ContextRw => overrides.epsilon.map(|_| "epsilon"),
+            SelectorMode::RandomWalk => overrides.walks.map(|_| "walks"),
+        };
+        if let Some(field) = ignored {
+            return Err(ApiError::InvalidRequest(format!(
+                "override `{field}` has no effect under the {selector:?} selector"
+            )));
+        }
+        Ok(Some(overrides))
+    }
+
     /// The sequential baseline pipeline (`None` selector = ContextRW via
     /// [`FindNc::discover`]), built once per workload phase.
     ///
@@ -789,19 +776,6 @@ impl NckService {
         if let Some(epsilon) = overrides.epsilon {
             config.randomwalk.ppr.epsilon = epsilon;
         }
-        if let Some(on) = overrides.score_sweep {
-            // Honored when it rides along with a pipeline override (this
-            // one-off run builds its own FindNc); a sweep-only override
-            // is a `pipeline_noop` that stays on the shared engine —
-            // correct either way, since both paths answer bit-identically.
-            config.findnc.score_sweep = on;
-        }
-        // `overrides.threads` is applied by the calling entry point
-        // (query/batch/stream) as a call-scoped cap, not here: it is a
-        // performance knob, not a pipeline setting. `ppr_block_width`
-        // likewise never reaches this one-off pipeline — blocking only
-        // exists on the engine's batch path, and a width-only override
-        // is a `pipeline_noop` that stays on the shared engine anyway.
         let findnc = FindNc::new(config.findnc.clone());
         let result = match config.selector {
             SelectorMode::ContextRw => findnc.discover(&self.graph, query),
@@ -849,49 +823,9 @@ impl NckService {
     }
 }
 
-/// `Some(overrides)` only when the request overrides the *pipeline*.
-/// A request whose only override is the pure-performance `threads` cap
-/// runs on the shared engine and its caches like an unoverridden one
-/// (the cap is applied separately, scoped to the call).
+/// `Some(overrides)` only when the request sets at least one override.
 fn effective_overrides(request: &QueryRequest) -> Option<&QueryOverrides> {
-    request.overrides.as_ref().filter(|o| !o.pipeline_noop())
-}
-
-/// The `threads` cap a request carries, if any (pipeline override or
-/// not).
-fn requested_threads(request: &QueryRequest) -> Option<usize> {
-    request.overrides.as_ref().and_then(|o| o.threads)
-}
-
-/// Applies a worker-thread cap for the duration of a service call,
-/// restoring the **service's configured base cap** (the engine
-/// configuration's `threads`, `None` = machine-derived) when dropped.
-/// `nck_core::parallel`'s cap is a process-wide primitive; this guard
-/// is what keeps per-request and per-workload caps from permanently
-/// throttling the service. Restoring the fixed base — rather than
-/// whatever value was sampled at entry — means interleaved guard drops
-/// from concurrent capped calls always converge back to the base
-/// instead of resurrecting another call's transient cap. Concurrent
-/// capped calls can still briefly see each other's caps mid-flight;
-/// the cap is purely a performance knob, so that can only affect
-/// timing, never results.
-struct ScopedThreadCap {
-    base: Option<usize>,
-}
-
-impl ScopedThreadCap {
-    fn apply(cap: Option<usize>, base: Option<usize>) -> Option<Self> {
-        cap.map(|cap| {
-            nck_core::parallel::set_thread_cap(Some(cap));
-            ScopedThreadCap { base }
-        })
-    }
-}
-
-impl Drop for ScopedThreadCap {
-    fn drop(&mut self) {
-        nck_core::parallel::set_thread_cap(self.base);
-    }
+    request.overrides.as_ref().filter(|o| !o.is_noop())
 }
 
 /// Exact ranking equality: same context order, same labels, same scores

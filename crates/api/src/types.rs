@@ -36,7 +36,7 @@ pub struct QueryRequest {
     /// computed either way); `None` returns every scored label.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub top: Option<usize>,
-    /// Per-request execution overrides. When set, the query runs on a
+    /// Per-request pipeline overrides. When set, the query runs on a
     /// fresh one-off pipeline **outside the shared engine caches** (cache
     /// entries are keyed by seed list under one fixed configuration, so
     /// serving overridden queries from them would be wrong).
@@ -68,8 +68,11 @@ impl QueryRequest {
     }
 }
 
-/// Per-request configuration overrides (see
-/// [`QueryRequest::overrides`]).
+/// Per-request pipeline overrides (see [`QueryRequest::overrides`]).
+///
+/// Every field changes the answer. Performance settings (worker-thread
+/// cap, PPR block width) are operator configuration on the engine and
+/// have no wire field.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct QueryOverrides {
     /// Context size `|C|`.
@@ -91,55 +94,23 @@ pub struct QueryOverrides {
     /// the RandomWalk selector.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub epsilon: Option<f64>,
-    /// Worker-thread cap for answering this request, applied for the
-    /// duration of the service call and then restored (in a batch or
-    /// stream, the first request carrying one governs the whole call).
-    /// Unlike every other override this is purely a performance knob —
-    /// chunking, which randomized results depend on, never moves — so
-    /// a request whose only override is `threads` still runs on the
-    /// shared engine and its caches.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub threads: Option<usize>,
-    /// Seed-lane width of the engine's blocked multi-seed PPR kernel
-    /// (see `EngineConfig::ppr_block_width` in `nck-engine`); `0`/`1`
-    /// disables blocking. Like `threads` this is purely a performance
-    /// knob — every lane is bit-identical to its solo run — so it rides
-    /// the shared engine (in a batch, the first request carrying one
-    /// governs the whole call); it only takes effect on batch execution,
-    /// where distinct seed misses exist to amortize.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub ppr_block_width: Option<usize>,
-    /// Whether label scoring runs through the node-major sweep (see
-    /// `FindNcConfig::score_sweep` in `nck-core`); `None` keeps the
-    /// engine configuration's setting (on by default). Like `threads`
-    /// this is purely a performance knob — rankings are bit-for-bit
-    /// identical either way — so it rides the shared engine.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub score_sweep: Option<bool>,
 }
 
 impl QueryOverrides {
-    /// Whether every override — pipeline settings *and* performance
-    /// knobs — is unset. For deciding whether a request can run on the
-    /// shared engine, use [`pipeline_noop`](Self::pipeline_noop): a
-    /// `threads`-only override is not a no-op but still serves from the
-    /// shared caches.
+    /// The serialized key of every field, in declaration order: the one
+    /// list a strict decoder checks incoming override maps against.
+    pub const FIELDS: &'static [&'static str] = &[
+        "context_size",
+        "walks",
+        "selector",
+        "type_filter",
+        "epsilon",
+    ];
+
+    /// Whether every override is unset (the request then runs on the
+    /// shared engine and its caches).
     pub fn is_noop(&self) -> bool {
         *self == Self::default()
-    }
-
-    /// Whether the overrides leave the *pipeline* untouched — only pure
-    /// performance knobs (`threads`, `ppr_block_width`, `score_sweep`)
-    /// set, or nothing at all. Such requests run on the shared engine
-    /// and its caches; only pipeline overrides fork a one-off uncached
-    /// run.
-    pub fn pipeline_noop(&self) -> bool {
-        Self {
-            threads: None,
-            ppr_block_width: None,
-            score_sweep: None,
-            ..*self
-        } == Self::default()
     }
 }
 
@@ -229,28 +200,6 @@ pub struct WorkloadRequest {
     /// skips the phase.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub clients: Option<usize>,
-    /// Worker-thread cap for this workload's execution (engine,
-    /// sequential and concurrent phases alike), applied for the
-    /// workload's duration and then restored; when unset, the service
-    /// engine configuration's `threads` (or the machine) governs.
-    /// Purely a performance knob — results are identical under any cap.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub threads: Option<usize>,
-    /// Seed-lane width of the blocked multi-seed PPR kernel for this
-    /// workload's engine phases (see `EngineConfig::ppr_block_width` in
-    /// `nck-engine`); `0`/`1` disables blocking, `None` keeps the
-    /// service engine configuration's width. Purely a performance knob —
-    /// every lane is bit-identical to its solo run, so results are
-    /// identical under any width.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub ppr_block_width: Option<usize>,
-    /// Whether label scoring runs through the node-major sweep for this
-    /// workload's phases (see `FindNcConfig::score_sweep` in `nck-core`);
-    /// `None` keeps the service engine configuration's setting (on by
-    /// default). Purely a performance knob — rankings are bit-for-bit
-    /// identical either way, so results are identical on both paths.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub score_sweep: Option<bool>,
 }
 
 impl WorkloadRequest {
@@ -263,9 +212,6 @@ impl WorkloadRequest {
             mode: WorkloadMode::Engine,
             chunk: 0,
             clients: None,
-            threads: None,
-            ppr_block_width: None,
-            score_sweep: None,
         }
     }
 }
@@ -318,13 +264,8 @@ pub struct EngineStatsReport {
     /// cache (blocked fills bypass the per-seed miss counters).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub ppr_lanes_filled: Option<u64>,
-    /// Node-major scoring sweeps executed (one per cold query scored
-    /// through the sweep path; cached results never re-sweep). Optional
-    /// on the wire so payloads from pre-sweep schemas still parse.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub label_sweeps: Option<u64>,
-    /// Labels scored across executed (non-cached) queries, whichever
-    /// scoring path ran.
+    /// Labels scored across executed (non-cached) queries. Optional on
+    /// the wire so payloads from older schemas still parse.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub labels_scored: Option<u64>,
     /// Lock stripes per engine cache (the result cache's count; caches
@@ -364,7 +305,6 @@ impl From<EngineStats> for EngineStatsReport {
             ppr_coalesced: Some(s.ppr_coalesced),
             ppr_block_runs: Some(s.ppr_block_runs),
             ppr_lanes_filled: Some(s.ppr_lanes_filled),
-            label_sweeps: Some(s.label_sweeps),
             labels_scored: Some(s.labels_scored),
             cache_shards: Some(s.result.shards as u64),
             graph_bytes: None,
@@ -472,7 +412,6 @@ mod tests {
             ppr_coalesced: None,
             ppr_block_runs: None,
             ppr_lanes_filled: None,
-            label_sweeps: None,
             labels_scored: None,
             cache_shards: None,
             graph_bytes: None,
@@ -512,7 +451,6 @@ mod tests {
             ppr_coalesced: Some(5),
             ppr_block_runs: Some(2),
             ppr_lanes_filled: Some(12),
-            label_sweeps: Some(4),
             labels_scored: Some(40),
             cache_shards: Some(8),
             graph_bytes: Some(123_456),
@@ -525,7 +463,6 @@ mod tests {
         assert!(text.contains(r#""cache_shards":8"#), "{text}");
         assert!(text.contains(r#""ppr_block_runs":2"#), "{text}");
         assert!(text.contains(r#""ppr_lanes_filled":12"#), "{text}");
-        assert!(text.contains(r#""label_sweeps":4"#), "{text}");
         assert!(text.contains(r#""labels_scored":40"#), "{text}");
         let back: EngineStatsReport = serde::json::from_str(&text).unwrap();
         assert_eq!(back, report, "coalesced/shard counters round-trip");
@@ -542,7 +479,6 @@ mod tests {
         assert_eq!(back.cache_shards, None);
         assert_eq!(back.ppr_block_runs, None);
         assert_eq!(back.ppr_lanes_filled, None);
-        assert_eq!(back.label_sweeps, None);
         assert_eq!(back.labels_scored, None);
         assert_eq!(back.submitted, 8);
     }
@@ -552,61 +488,28 @@ mod tests {
         let legacy = r#"{"queries":[{"entities":["A"]}],"repeat":2,"mode":"Engine","chunk":0}"#;
         let back: WorkloadRequest = serde::json::from_str(legacy).unwrap();
         assert_eq!(back.clients, None);
-        assert_eq!(back.threads, None);
-        assert_eq!(back.ppr_block_width, None);
         assert_eq!(back.repeat, 2);
     }
 
-    /// The block-width knobs are performance-only overrides: absent from
-    /// serialized defaults, round-tripping when set, and never forcing a
-    /// request off the shared engine.
+    /// A fully populated literal (no `..Default`, so a new field fails
+    /// to compile here until it is listed) serializes exactly the keys
+    /// of `QueryOverrides::FIELDS`, in order.
     #[test]
-    fn ppr_block_width_is_a_pipeline_noop_override() {
-        let mut o = QueryOverrides::default();
-        assert!(o.is_noop() && o.pipeline_noop());
-        o.ppr_block_width = Some(32);
-        assert!(!o.is_noop(), "a set width is not a no-op");
-        assert!(o.pipeline_noop(), "…but leaves the pipeline untouched");
-        o.epsilon = Some(1e-4);
-        assert!(!o.pipeline_noop(), "pipeline overrides still fork");
-
-        let mut w = WorkloadRequest::new(vec![QueryRequest::entities(["A"])]);
-        let text = serde::json::to_string(&w);
-        assert!(!text.contains("ppr_block_width"), "{text}");
-        w.ppr_block_width = Some(8);
-        let text = serde::json::to_string(&w);
-        assert!(text.contains(r#""ppr_block_width":8"#), "{text}");
-        let back: WorkloadRequest = serde::json::from_str(&text).unwrap();
-        assert_eq!(back, w);
-    }
-
-    /// `score_sweep` mirrors the other performance knobs: absent from
-    /// serialized defaults, round-tripping when set, and never forcing a
-    /// request off the shared engine (both paths answer bit-identically).
-    #[test]
-    fn score_sweep_is_a_pipeline_noop_override() {
-        let o = QueryOverrides {
-            score_sweep: Some(false),
-            ..QueryOverrides::default()
+    fn override_fields_list_every_serialized_key() {
+        let full = QueryOverrides {
+            context_size: Some(30),
+            walks: Some(1_000),
+            selector: Some(SelectorMode::RandomWalk),
+            type_filter: Some(TypeFilter::None),
+            epsilon: Some(1e-4),
         };
-        assert!(!o.is_noop(), "a set sweep knob is not a no-op");
-        assert!(o.pipeline_noop(), "…but leaves the pipeline untouched");
-
-        let mut w = WorkloadRequest::new(vec![QueryRequest::entities(["A"])]);
-        let text = serde::json::to_string(&w);
-        assert!(!text.contains("score_sweep"), "{text}");
-        w.score_sweep = Some(false);
-        let text = serde::json::to_string(&w);
-        assert!(text.contains(r#""score_sweep":false"#), "{text}");
-        let back: WorkloadRequest = serde::json::from_str(&text).unwrap();
-        assert_eq!(back, w);
-    }
-
-    #[test]
-    fn legacy_workload_request_without_score_sweep_still_parses() {
-        let legacy = r#"{"queries":[{"entities":["A"]}],"repeat":1,"mode":"Engine","chunk":0,"ppr_block_width":8}"#;
-        let back: WorkloadRequest = serde::json::from_str(legacy).unwrap();
-        assert_eq!(back.score_sweep, None);
-        assert_eq!(back.ppr_block_width, Some(8));
+        let value = serde::json::parse(&serde::json::to_string(&full)).unwrap();
+        let keys: Vec<&str> = value
+            .expect_map("overrides")
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, QueryOverrides::FIELDS);
     }
 }

@@ -41,9 +41,6 @@ fn query_request_round_trips() {
             selector: Some(SelectorMode::RandomWalk),
             type_filter: Some(TypeFilter::None),
             epsilon: Some(1e-5),
-            threads: Some(4),
-            ppr_block_width: Some(16),
-            score_sweep: Some(false),
         }),
     };
     assert_eq!(roundtrip(&full), full);
@@ -100,21 +97,14 @@ fn workload_request_and_report_round_trip() {
         mode: WorkloadMode::Compare,
         chunk: 4,
         clients: None,
-        threads: None,
-        ppr_block_width: None,
-        score_sweep: None,
     };
     assert_eq!(roundtrip(&request), request);
-    // The concurrency fields stay off the wire until set…
+    // The concurrency field stays off the wire until set…
     let text = json::to_string(&request);
     assert!(!text.contains("clients"), "{text}");
-    assert!(!text.contains("threads"), "{text}");
-    // …and ride it once they are.
+    // …and rides it once it is.
     let concurrent = WorkloadRequest {
         clients: Some(8),
-        threads: Some(2),
-        ppr_block_width: None,
-        score_sweep: None,
         ..request
     };
     assert_eq!(roundtrip(&concurrent), concurrent);
@@ -158,9 +148,6 @@ fn service_emitted_payloads_round_trip() {
             mode: WorkloadMode::Compare,
             chunk: 0,
             clients: Some(2),
-            threads: None,
-            ppr_block_width: None,
-            score_sweep: None,
         })
         .unwrap();
     let back: WorkloadReport = roundtrip(&report);

@@ -54,9 +54,6 @@ fn workload_stats_are_per_workload_not_cumulative() {
         mode: WorkloadMode::Engine,
         chunk: 0,
         clients: None,
-        threads: None,
-        ppr_block_width: None,
-        score_sweep: None,
     };
     let first = service.workload(&request).unwrap();
     let second = service.workload(&request).unwrap();
@@ -204,9 +201,6 @@ fn randomwalk_compare_mode_does_not_spuriously_diverge() {
             mode: WorkloadMode::Compare,
             chunk: 0,
             clients: None,
-            threads: None,
-            ppr_block_width: None,
-            score_sweep: None,
         })
         .expect("compare must agree bit for bit, not Diverged");
     assert!(report.speedup.is_some());
@@ -238,9 +232,6 @@ fn randomwalk_compare_mode_agrees_under_epsilon_pruning() {
             mode: WorkloadMode::Compare,
             chunk: 0,
             clients: None,
-            threads: None,
-            ppr_block_width: None,
-            score_sweep: None,
         })
         .expect("sparse compare must agree bit for bit");
     assert!(report.speedup.is_some());
@@ -300,9 +291,6 @@ fn concurrent_workload_phase_verifies_parity_and_builds_weights_once() {
             mode: WorkloadMode::Compare,
             chunk: 0,
             clients: Some(4),
-            threads: None,
-            ppr_block_width: None,
-            score_sweep: None,
         })
         .expect("concurrent responses must match sequential id for id");
     let concurrent = report.concurrent.expect("clients were requested");
@@ -334,9 +322,6 @@ fn single_client_concurrent_phase_works() {
             mode: WorkloadMode::Engine,
             chunk: 0,
             clients: Some(1),
-            threads: None,
-            ppr_block_width: None,
-            score_sweep: None,
         })
         .unwrap();
     let concurrent = report.concurrent.expect("clients were requested");
@@ -344,74 +329,12 @@ fn single_client_concurrent_phase_works() {
     assert_eq!(concurrent.stats.result_coalesced, Some(0));
 }
 
-/// A request whose only override is the pure-performance `threads` cap
-/// must still run on the shared engine and its caches (only *pipeline*
-/// overrides fork an uncached one-off run), and the cap must be
-/// restored after the call instead of throttling the service forever.
+/// `EngineConfig::ppr_block_width` is the operator's setting for the
+/// blocked PPR kernel: a service batch runs its distinct seed misses
+/// through it, and blocked answers match an unblocked service's bit for
+/// bit.
 #[test]
-fn threads_only_override_stays_on_shared_engine_and_cap_is_restored() {
-    use nck_api::QueryOverrides;
-    use nck_core::parallel;
-
-    let service = toy_service(toy_config());
-    let mut request = QueryRequest::entities(["Merkel", "Obama"]);
-    request.overrides = Some(QueryOverrides {
-        threads: Some(2),
-        ..QueryOverrides::default()
-    });
-    let before = parallel::thread_cap();
-    let first = service.query(&request).unwrap();
-    assert_eq!(
-        parallel::thread_cap(),
-        before,
-        "per-request cap must be restored after the call"
-    );
-    let stats = service.stats();
-    assert_eq!(
-        (stats.submitted, stats.executed),
-        (1, 1),
-        "threads-only override must run on the shared engine"
-    );
-    // A repeat (without any override) is served by the shared result
-    // cache the first call populated.
-    let mut second = service
-        .query(&QueryRequest::entities(["Merkel", "Obama"]))
-        .unwrap();
-    let mut first = first;
-    (first.secs, second.secs) = (None, None);
-    assert_eq!(first, second, "cached repeat answers identically");
-    assert_eq!(service.stats().executed, 1, "no recomputation");
-
-    // A workload-level cap is likewise scoped to the workload.
-    let report = service
-        .workload(&WorkloadRequest {
-            queries: vec![QueryRequest::entities(["Merkel", "Obama"])],
-            repeat: 1,
-            mode: WorkloadMode::Engine,
-            chunk: 0,
-            clients: None,
-            threads: Some(1),
-            ppr_block_width: None,
-            score_sweep: None,
-        })
-        .unwrap();
-    assert!(report.engine_secs.is_some());
-    assert_eq!(
-        parallel::thread_cap(),
-        before,
-        "workload cap must be restored after the workload"
-    );
-}
-
-/// `ppr_block_width` is a pure performance knob at the service surface:
-/// a width-only override keeps a batch on the shared engine (its blocked
-/// prefill is visible in the shared counters), a workload-level width
-/// reaches the fresh benchmark engine, and blocked answers match an
-/// unblocked service's bit for bit.
-#[test]
-fn ppr_block_width_override_rides_the_shared_engine() {
-    use nck_api::QueryOverrides;
-
+fn engine_block_width_reaches_service_batches() {
     let randomwalk = |width: usize| {
         let mut config = toy_config();
         config.selector = SelectorMode::RandomWalk;
@@ -420,93 +343,95 @@ fn ppr_block_width_override_rides_the_shared_engine() {
         config.ppr_block_width = width;
         config
     };
+    let requests = ["Merkel", "Obama", "leader0", "leader1"].map(|s| QueryRequest::entities([s]));
 
-    let service = toy_service(randomwalk(1)); // blocking off by default
-    let seeds = ["Merkel", "Obama", "leader0", "leader1"];
-    let mut requests: Vec<QueryRequest> =
-        seeds.iter().map(|s| QueryRequest::entities([*s])).collect();
-    requests[0].overrides = Some(QueryOverrides {
-        ppr_block_width: Some(4),
-        ..QueryOverrides::default()
-    });
+    let service = toy_service(randomwalk(4));
     let blocked = service.batch(&requests).unwrap();
     let stats = service.raw_stats();
-    assert_eq!(
-        (stats.ppr_block_runs, stats.ppr_lanes_filled),
-        (1, 4),
-        "the width override must reach the shared engine's batch path"
-    );
-    assert_eq!(
-        (stats.batches, stats.queries),
-        (1, 4),
-        "a width-only override must not fork a one-off pipeline"
-    );
+    assert_eq!((stats.ppr_block_runs, stats.ppr_lanes_filled), (1, 4));
 
-    // The same batch, unoverridden, on an unblocked service: identical.
-    let plain = toy_service(randomwalk(1))
-        .batch(&seeds.map(|s| QueryRequest::entities([s])))
-        .unwrap();
+    let unblocked = toy_service(randomwalk(1));
+    let plain = unblocked.batch(&requests).unwrap();
+    assert_eq!(unblocked.raw_stats().ppr_block_runs, 0);
     assert_eq!(blocked, plain, "blocking must be answer-invariant");
-
-    // A workload-level width reaches the fresh benchmark engine.
-    let report = service
-        .workload(&WorkloadRequest {
-            queries: seeds.iter().map(|s| QueryRequest::entities([*s])).collect(),
-            repeat: 1,
-            mode: WorkloadMode::Engine,
-            chunk: 0,
-            clients: None,
-            threads: None,
-            ppr_block_width: Some(2),
-            score_sweep: None,
-        })
-        .unwrap();
-    let stats = report.engine_stats.unwrap();
-    assert_eq!(stats.ppr_block_runs, Some(2), "4 seeds in blocks of 2");
-    assert_eq!(stats.ppr_lanes_filled, Some(4));
 }
 
-/// `score_sweep` is likewise a pure performance knob at the service
-/// surface: a workload-level setting reaches the fresh benchmark engine
-/// (visible in its sweep counters), and the sweep and per-label paths
-/// answer bit for bit identically.
+/// An override the effective selector never reads — the overridden
+/// selector if set, else the engine's — is a typed `invalid_request`
+/// from both `query` and `batch`, raised before any pipeline work: the
+/// engine counters do not move.
 #[test]
-fn score_sweep_workload_knob_reaches_benchmark_engine() {
-    let service = toy_service(toy_config());
-    let run = |sweep: Option<bool>| {
-        service
-            .workload(&WorkloadRequest {
-                queries: vec![QueryRequest::entities(["Merkel", "Obama"])],
-                repeat: 1,
-                mode: WorkloadMode::Engine,
-                chunk: 0,
-                clients: None,
-                threads: None,
-                ppr_block_width: None,
-                score_sweep: sweep,
-            })
-            .unwrap()
-    };
-    let swept = run(None); // engine default: sweep on
-    let swept_stats = swept.engine_stats.unwrap();
-    assert_eq!(swept_stats.label_sweeps, Some(1), "one cold swept query");
-    let scored = swept_stats.labels_scored.unwrap();
-    assert!(scored > 0, "some labels were scored");
+fn overrides_the_effective_selector_ignores_are_rejected() {
+    use nck_api::QueryOverrides;
 
-    let legacy = run(Some(false));
-    let legacy_stats = legacy.engine_stats.unwrap();
-    assert_eq!(
-        legacy_stats.label_sweeps,
-        Some(0),
-        "the knob must reach the fresh engine"
-    );
-    assert_eq!(
-        legacy_stats.labels_scored,
-        Some(scored),
-        "both paths score the same labels"
-    );
-    assert_eq!(
-        swept.results, legacy.results,
-        "sweep and per-label scoring answer identically"
-    );
+    let randomwalk = || {
+        let mut config = toy_config();
+        config.selector = SelectorMode::RandomWalk;
+        config.randomwalk.type_filter = TypeFilter::None;
+        config
+    };
+    let cases = [
+        (
+            toy_config(),
+            QueryOverrides {
+                epsilon: Some(1e-3),
+                ..QueryOverrides::default()
+            },
+            "epsilon",
+        ),
+        (
+            randomwalk(),
+            QueryOverrides {
+                walks: Some(500),
+                ..QueryOverrides::default()
+            },
+            "walks",
+        ),
+        (
+            toy_config(),
+            QueryOverrides {
+                selector: Some(SelectorMode::RandomWalk),
+                walks: Some(500),
+                ..QueryOverrides::default()
+            },
+            "walks",
+        ),
+        (
+            randomwalk(),
+            QueryOverrides {
+                selector: Some(SelectorMode::ContextRw),
+                epsilon: Some(1e-3),
+                ..QueryOverrides::default()
+            },
+            "epsilon",
+        ),
+    ];
+    for (config, overrides, field) in cases {
+        let service = toy_service(config);
+        let mut request = QueryRequest::entities(["Merkel", "Obama"]);
+        request.overrides = Some(overrides);
+        let err = service.query(&request).unwrap_err();
+        assert_eq!(err.code(), "invalid_request", "{err}");
+        assert!(err.to_string().contains(field), "{err}");
+        let plain = QueryRequest::entities(["leader0"]);
+        let err = service.batch(&[plain, request]).unwrap_err();
+        assert_eq!(err.code(), "invalid_request", "{err}");
+        let stats = service.raw_stats();
+        assert_eq!(
+            (stats.batches, stats.queries, stats.executed_groups),
+            (0, 0, 0),
+            "rejected before any pipeline work"
+        );
+    }
+
+    // The same override under the selector that reads it still runs.
+    let service = toy_service(toy_config());
+    let mut request = QueryRequest::entities(["Merkel", "Obama"]);
+    request.overrides = Some(QueryOverrides {
+        selector: Some(SelectorMode::RandomWalk),
+        type_filter: Some(TypeFilter::None),
+        epsilon: Some(1e-3),
+        ..QueryOverrides::default()
+    });
+    assert!(!service.query(&request).unwrap().context.is_empty());
 }

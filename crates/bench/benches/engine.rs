@@ -12,11 +12,7 @@
 //! `rw_distinct32_per_seed` vs `rw_distinct32_block_cold` time a cold
 //! RandomWalk batch of 32 distinct seeds — all PPR-cache misses — with
 //! blocking off vs the default `ppr_block_width = 8`, after asserting
-//! the two engines answer identically. Both pin `score_sweep = false`
-//! so they keep measuring the per-label scoring stack they always
-//! measured; `rw_distinct32_sweep_cold` re-runs the blocked batch with
-//! the node-major scoring sweep on (the default), after asserting the
-//! sweep changes no answer bit.
+//! the two engines answer identically.
 
 #![forbid(unsafe_code)]
 
@@ -119,16 +115,7 @@ fn bench_engine(c: &mut Criterion) {
             ..EngineConfig::default()
         };
         config.findnc.context_size = 10;
-        // Pinned off so the two legacy rows keep measuring the per-label
-        // scoring stack they were introduced with; the sweep row below
-        // flips it back on.
-        config.findnc.score_sweep = false;
         config.randomwalk.type_filter = TypeFilter::None;
-        config
-    };
-    let rw_sweep_config = || {
-        let mut config = rw_config(8);
-        config.findnc.score_sweep = true;
         config
     };
     {
@@ -137,9 +124,8 @@ fn bench_engine(c: &mut Criterion) {
         let want = per_seed.run_batch(&rw_queries).unwrap();
         let got = blocked.run_batch(&rw_queries).unwrap();
         for (i, (a, b)) in want.iter().zip(&got).enumerate() {
-            assert_eq!(
-                a.context.ranked(),
-                b.context.ranked(),
+            assert!(
+                nck_api::rankings_equal(a, b),
                 "blocked batch diverged from per-seed batch at query {i}"
             );
         }
@@ -148,22 +134,6 @@ fn bench_engine(c: &mut Criterion) {
             (stats.ppr_block_runs, stats.ppr_lanes_filled),
             (4, 32),
             "the blocked engine must have answered via the block kernel"
-        );
-        // Same story for the scoring sweep: a performance knob, never an
-        // answer change — the swept rankings must match the per-label
-        // rankings bit for bit before any timing.
-        let swept_engine = QueryEngine::new(rw_graph, rw_sweep_config()).unwrap();
-        let swept = swept_engine.run_batch(&rw_queries).unwrap();
-        for (i, (a, b)) in got.iter().zip(&swept).enumerate() {
-            assert!(
-                nck_api::rankings_equal(a, b),
-                "swept batch diverged from per-label batch at query {i}"
-            );
-        }
-        let stats = swept_engine.stats();
-        assert_eq!(
-            stats.label_sweeps, 32,
-            "every cold query must have been scored through the sweep"
         );
     }
     group.bench_function("rw_distinct32_per_seed", |b| {
@@ -175,12 +145,6 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("rw_distinct32_block_cold", |b| {
         b.iter(|| {
             let engine = QueryEngine::new(rw_graph, rw_config(8)).unwrap();
-            engine.run_batch(&rw_queries).unwrap()
-        })
-    });
-    group.bench_function("rw_distinct32_sweep_cold", |b| {
-        b.iter(|| {
-            let engine = QueryEngine::new(rw_graph, rw_sweep_config()).unwrap();
             engine.run_batch(&rw_queries).unwrap()
         })
     });

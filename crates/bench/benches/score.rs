@@ -1,5 +1,5 @@
-//! Per-label-loop vs node-major-sweep label scoring — the single-sweep
-//! rewrite `nck_core::sweep` exists for.
+//! Label scoring: the per-label `build_full` oracle vs the node-major
+//! sweep `nck_core::sweep` exists for, and FindNC's cold scoring path.
 //!
 //! The workload is 32 queries over distinct planted seeds (the same
 //! quarter-scale graph and seed block as `BENCH_ppr.json` /
@@ -10,31 +10,28 @@
 //! `build_per_label_32` vs `build_sweep_32` isolate the §3.2 Inst/Card
 //! distribution pass: O(|L|·|Q∪C|) per-label probing vs one O(Σ degree)
 //! node-major sweep into an epoch-stamped reusable workspace.
-//! `score_per_label_cold_32` vs `score_sweep_cold_32` time the full
-//! cold scoring path (distributions + discrimination tests), where the
-//! sweep additionally fans the per-label tests across workers. Both
-//! paths must answer bit for bit identically before any timing.
+//! `score_sweep_cold_32` times FindNC's full cold scoring path (the sweep
+//! plus the per-label tests fanned across workers). Before any timing,
+//! every swept label must equal its per-label oracle: the same
+//! distributions field for field and the same score bits.
 
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nck_api::rankings_equal;
 use nck_core::config::FindNcConfig;
 use nck_core::context::Context;
+use nck_core::discrimination::{Discrimination, MultinomialDiscrimination};
 use nck_core::distributions::{incident_labels, LabelDistributions};
 use nck_core::findnc::FindNc;
 use nck_core::query::Query;
 use nck_core::sweep::{self, ScoringWorkspace};
 use nck_graph::NodeId;
+use nck_stats::MultinomialTest;
 
-/// Paper defaults, sweep toggled, with a trimmed Monte-Carlo budget:
-/// the sampling work inside the discrimination tests is identical on
-/// both paths by construction (same seed, same distributions), so a
-/// large budget only buries the rewritten distribution pass these rows
-/// exist to measure.
-fn config(sweep: bool) -> FindNcConfig {
+/// Paper defaults with a trimmed Monte-Carlo budget: a large budget
+/// only buries the distribution pass these rows measure.
+fn config() -> FindNcConfig {
     FindNcConfig {
-        score_sweep: sweep,
         mc_samples: 500,
         ..FindNcConfig::default()
     }
@@ -69,11 +66,17 @@ fn bench_score(c: &mut Criterion) {
         })
         .collect();
 
-    // Parity before timing: the sweep is a performance rewrite, never an
-    // answer change. Distributions field for field, rankings bit for bit.
-    let swept_findnc = FindNc::new(config(true));
-    let legacy_findnc = FindNc::new(config(false));
-    let cfg = config(true);
+    // Parity before timing: every swept label equals its per-label
+    // oracle. Distributions field for field, scores bit for bit.
+    let cfg = config();
+    let findnc = FindNc::new(cfg.clone());
+    let test = MultinomialDiscrimination::new(
+        MultinomialTest::new()
+            .with_alpha(cfg.alpha)
+            .expect("default alpha is valid")
+            .with_samples(cfg.mc_samples)
+            .with_seed(cfg.mc_seed),
+    );
     let mut ws = ScoringWorkspace::new();
     for (i, (query, context)) in pairs.iter().enumerate() {
         let swept_dists = sweep::build_all(
@@ -98,16 +101,18 @@ fn bench_score(c: &mut Criterion) {
             );
             assert_eq!(dists, &want, "distributions diverged at query {i}");
         }
-        let swept = swept_findnc
-            .discover_with_context(graph, query, context)
-            .unwrap();
-        let legacy = legacy_findnc
-            .discover_with_context(graph, query, context)
-            .unwrap();
-        assert!(
-            rankings_equal(&swept, &legacy),
-            "swept ranking diverged from per-label ranking at query {i}"
-        );
+        // `swept_dists` now stands for the oracle, label by label.
+        let result = findnc.discover_with_context(graph, query, context).unwrap();
+        for ch in &result.characteristics {
+            let oracle = &swept_dists[labels.binary_search(&ch.label).expect("incident label")];
+            assert_eq!(&ch.distributions, oracle, "distributions at query {i}");
+            let want = test.score(oracle).unwrap();
+            assert_eq!(
+                (ch.score.to_bits(), ch.significance.map(f64::to_bits)),
+                (want.score.to_bits(), want.significance().map(f64::to_bits)),
+                "score diverged from the per-label oracle at query {i}"
+            );
+        }
     }
 
     let mut group = c.benchmark_group("score");
@@ -151,20 +156,11 @@ fn bench_score(c: &mut Criterion) {
             total
         })
     });
-    group.bench_function("score_per_label_cold_32", |b| {
-        b.iter(|| {
-            for (query, context) in &pairs {
-                legacy_findnc
-                    .discover_with_context(graph, query, context)
-                    .unwrap();
-            }
-        })
-    });
     group.bench_function("score_sweep_cold_32", |b| {
         let mut ws = ScoringWorkspace::new();
         b.iter(|| {
             for (query, context) in &pairs {
-                swept_findnc
+                findnc
                     .discover_with_context_ws(graph, query, context, &mut ws)
                     .unwrap();
             }

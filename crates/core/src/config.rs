@@ -133,13 +133,6 @@ pub struct FindNcConfig {
     /// Cardinality binning (see
     /// [`crate::distributions::CardinalityBinning`]).
     pub card_binning: CardinalityBinning,
-    /// Score through the node-major sweep ([`crate::sweep`]): one pass
-    /// over `Q ∪ C` builds every label's distributions, and the
-    /// discrimination tests fan out across workers. A pure performance
-    /// knob — rankings are bit-for-bit identical to the label-major
-    /// path. On by default; `false` restores the sequential per-label
-    /// loop.
-    pub score_sweep: bool,
 }
 
 impl Default for FindNcConfig {
@@ -153,7 +146,6 @@ impl Default for FindNcConfig {
             include_inverse_labels: false,
             instance_support: InstanceSupport::ContextOnly,
             card_binning: CardinalityBinning::Log2,
-            score_sweep: true,
         }
     }
 }
@@ -176,13 +168,12 @@ mod tests {
         assert_eq!(findnc.context_size, 100);
         assert_eq!(findnc.alpha, 0.05);
         assert!(!findnc.include_inverse_labels);
-        assert!(findnc.score_sweep, "the sweep is the default path");
     }
 
     #[test]
-    fn findnc_config_round_trips_with_sweep_knob() {
+    fn findnc_config_round_trips() {
         let cfg = FindNcConfig {
-            score_sweep: false,
+            include_inverse_labels: true,
             ..FindNcConfig::default()
         };
         let text = serde::json::to_string(&cfg);

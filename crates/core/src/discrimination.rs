@@ -63,7 +63,7 @@ impl DiscriminationScore {
 
 /// A discrimination function δ.
 ///
-/// `Sync` because the sweep path fans per-label scoring across
+/// `Sync` because FindNC fans per-label scoring across
 /// [`crate::parallel`] workers; scoring takes `&self`, so implementations
 /// needing per-call mutable state must use interior mutability that is
 /// thread-safe — and note that call *order* across labels is then

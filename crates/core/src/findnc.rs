@@ -198,14 +198,14 @@ impl FindNc {
     /// [`discover_with_discrimination`](Self::discover_with_discrimination)
     /// with a caller-provided workspace.
     ///
-    /// With `score_sweep` on (the default), distributions come from the
-    /// node-major sweep ([`sweep::build_all`]) and the per-label
-    /// discrimination tests fan out across [`crate::parallel`] workers;
-    /// both halves are bit-for-bit identical to the sequential
-    /// label-major path (distributions by construction — see
-    /// [`crate::sweep`] — and scores because each test re-seeds from the
-    /// label-independent config seed, so per-label results don't depend
-    /// on call order; the fold preserves label order).
+    /// Distributions come from the node-major sweep
+    /// ([`sweep::build_all`]), and the per-label discrimination tests fan
+    /// out across [`crate::parallel`] workers. Every label's result
+    /// equals [`LabelDistributions::build_full`] scored on its own: the
+    /// distributions by construction (see [`crate::sweep`]), and the
+    /// scores because each test re-seeds from the label-independent
+    /// config seed, so no result depends on call order. The fold
+    /// preserves label order.
     pub fn discover_with_discrimination_ws<G: GraphAccess>(
         &self,
         graph: &G,
@@ -220,78 +220,45 @@ impl FindNc {
                 available: 0,
             });
         }
-        let mut characteristics = if self.config.score_sweep {
-            let dists = sweep::build_all(
-                graph,
-                query,
-                context,
-                self.config.instance_support,
-                self.config.card_binning,
-                self.config.include_inverse_labels,
-                ws,
-            );
-            // Fan the per-label tests out; the fold sees chunks in index
-            // order, so scored results — and the first error, if any —
-            // come back in ascending label order.
-            let scored: Vec<Result<DiscriminationScore, CoreError>> = crate::parallel::map_chunks(
-                dists.len(),
-                true,
-                |_, range| {
-                    range
-                        .map(|i| discrimination.score(&dists[i]))
-                        .collect::<Vec<_>>()
-                },
-                Vec::with_capacity(dists.len()),
-                |mut acc, part| {
-                    acc.extend(part);
-                    acc
-                },
-            );
-            let mut characteristics = Vec::with_capacity(dists.len());
-            for (dists, scored) in dists.into_iter().zip(scored) {
-                let s = scored?;
-                characteristics.push(NotableCharacteristic {
-                    label: dists.label,
-                    score: s.score,
-                    significance: s.significance(),
-                    trigger: s.trigger,
-                    inst_significance: s.inst_significance,
-                    card_significance: s.card_significance,
-                    distributions: dists,
-                });
-            }
-            characteristics
-        } else {
-            let labels = sweep::incident_labels_ws(
-                graph,
-                query,
-                context,
-                self.config.include_inverse_labels,
-                ws,
-            );
-            let mut characteristics = Vec::with_capacity(labels.len());
-            for label in labels {
-                let dists = LabelDistributions::build_full(
-                    graph,
-                    query,
-                    context,
-                    label,
-                    self.config.instance_support,
-                    self.config.card_binning,
-                );
-                let s = discrimination.score(&dists)?;
-                characteristics.push(NotableCharacteristic {
-                    label,
-                    score: s.score,
-                    significance: s.significance(),
-                    trigger: s.trigger,
-                    inst_significance: s.inst_significance,
-                    card_significance: s.card_significance,
-                    distributions: dists,
-                });
-            }
-            characteristics
-        };
+        let dists = sweep::build_all(
+            graph,
+            query,
+            context,
+            self.config.instance_support,
+            self.config.card_binning,
+            self.config.include_inverse_labels,
+            ws,
+        );
+        // Fan the per-label tests out; the fold sees chunks in index
+        // order, so scored results — and the first error, if any — come
+        // back in ascending label order.
+        let scored: Vec<Result<DiscriminationScore, CoreError>> = crate::parallel::map_chunks(
+            dists.len(),
+            true,
+            |_, range| {
+                range
+                    .map(|i| discrimination.score(&dists[i]))
+                    .collect::<Vec<_>>()
+            },
+            Vec::with_capacity(dists.len()),
+            |mut acc, part| {
+                acc.extend(part);
+                acc
+            },
+        );
+        let mut characteristics = Vec::with_capacity(dists.len());
+        for (dists, scored) in dists.into_iter().zip(scored) {
+            let s = scored?;
+            characteristics.push(NotableCharacteristic {
+                label: dists.label,
+                score: s.score,
+                significance: s.significance(),
+                trigger: s.trigger,
+                inst_significance: s.inst_significance,
+                card_significance: s.card_significance,
+                distributions: dists,
+            });
+        }
         // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: mapping
         // NaN to "equal" breaks the strict weak ordering `sort_by`
         // requires, so one NaN score could scramble (or panic) the whole
@@ -443,17 +410,20 @@ mod tests {
     #[test]
     fn nan_scores_rank_deterministically() {
         use crate::discrimination::{Discrimination, DiscriminationScore, Trigger};
-        use std::sync::atomic::{AtomicUsize, Ordering};
 
-        /// Poisons every other label with a NaN δ.
-        struct NanEveryOther(AtomicUsize);
-        impl Discrimination for NanEveryOther {
+        /// Poisons the listed labels with a NaN δ. Keyed on the label id,
+        /// not on call order, which the worker fan-out leaves unspecified.
+        struct NanFor(Vec<EdgeLabelId>);
+        impl Discrimination for NanFor {
             fn score(
                 &self,
-                _dists: &crate::distributions::LabelDistributions,
+                dists: &crate::distributions::LabelDistributions,
             ) -> Result<DiscriminationScore, CoreError> {
-                let i = self.0.fetch_add(1, Ordering::Relaxed);
-                let score = if i.is_multiple_of(2) { f64::NAN } else { 0.5 };
+                let score = if self.0.contains(&dists.label) {
+                    f64::NAN
+                } else {
+                    0.5
+                };
                 Ok(DiscriminationScore {
                     score,
                     inst_score: score,
@@ -464,22 +434,20 @@ mod tests {
                 })
             }
             fn name(&self) -> &'static str {
-                "nan-every-other"
+                "nan-for-labels"
             }
         }
 
         let (g, q, c) = leaders();
-        // This discrimination's output depends on call *order* (the
-        // fetch_add counter), which the parallel sweep path leaves
-        // unspecified — the sequential label-major path is what the
-        // NaN-comparator property is about.
-        let cfg = FindNcConfig {
-            score_sweep: false,
-            ..FindNcConfig::default()
-        };
+        let poisoned = NanFor(
+            ["studied", "leads"]
+                .iter()
+                .map(|name| g.labels().get(name).unwrap())
+                .collect(),
+        );
         let run = || {
-            FindNc::new(cfg.clone())
-                .discover_with_discrimination(&g, &q, &c, &NanEveryOther(AtomicUsize::new(0)))
+            FindNc::default()
+                .discover_with_discrimination(&g, &q, &c, &poisoned)
                 .unwrap()
                 .characteristics
                 .iter()
@@ -497,6 +465,7 @@ mod tests {
             .iter()
             .position(|(_, bits)| f64::from_bits(*bits).is_nan())
             .unwrap();
+        assert!(first_nan > 0, "real scores rank first");
         assert!(
             first[first_nan..]
                 .iter()
@@ -505,39 +474,42 @@ mod tests {
         );
     }
 
-    /// The sweep is a pure performance knob: rankings (scores,
-    /// significances, tie order) must be bit-for-bit identical to the
-    /// sequential label-major path. The proptest suite widens this
-    /// across backends; this pins it in-crate.
+    /// Each scored label equals its per-label oracle: `build_full`'s
+    /// distributions, tested on their own, give the same score and
+    /// significance bits as the sweep-and-fan-out result. The proptest
+    /// suite widens this across backends; this pins it in-crate.
     #[test]
-    fn sweep_and_legacy_paths_agree_bit_for_bit() {
+    fn swept_scores_match_the_per_label_oracle() {
         let (g, q, c) = leaders();
-        let swept = FindNc::default().discover_with_context(&g, &q, &c).unwrap();
-        let legacy_cfg = FindNcConfig {
-            score_sweep: false,
-            ..FindNcConfig::default()
-        };
-        let legacy = FindNc::new(legacy_cfg)
-            .discover_with_context(&g, &q, &c)
-            .unwrap();
-        assert_eq!(swept.characteristics.len(), legacy.characteristics.len());
-        for (a, b) in swept.characteristics.iter().zip(&legacy.characteristics) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-            assert_eq!(
-                a.significance.map(f64::to_bits),
-                b.significance.map(f64::to_bits)
+        let findnc = FindNc::default();
+        let (cfg, test) = (findnc.config(), findnc.discrimination().unwrap());
+        let result = findnc.discover_with_context(&g, &q, &c).unwrap();
+        assert!(!result.characteristics.is_empty());
+        for ch in &result.characteristics {
+            let dists = LabelDistributions::build_full(
+                &g,
+                &q,
+                &c,
+                ch.label,
+                cfg.instance_support,
+                cfg.card_binning,
             );
-            assert_eq!(a.trigger, b.trigger);
+            assert_eq!(ch.distributions, dists);
+            let want = test.score(&dists).unwrap();
+            assert_eq!(ch.score.to_bits(), want.score.to_bits());
             assert_eq!(
-                a.inst_significance.map(f64::to_bits),
-                b.inst_significance.map(f64::to_bits)
+                ch.significance.map(f64::to_bits),
+                want.significance().map(f64::to_bits)
+            );
+            assert_eq!(ch.trigger, want.trigger);
+            assert_eq!(
+                ch.inst_significance.map(f64::to_bits),
+                want.inst_significance.map(f64::to_bits)
             );
             assert_eq!(
-                a.card_significance.map(f64::to_bits),
-                b.card_significance.map(f64::to_bits)
+                ch.card_significance.map(f64::to_bits),
+                want.card_significance.map(f64::to_bits)
             );
-            assert_eq!(a.distributions, b.distributions);
         }
     }
 

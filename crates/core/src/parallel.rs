@@ -23,9 +23,9 @@
 //!   workers (fewer threads each executing more chunks) is
 //!   observationally invisible — a pure performance/footprint knob.
 //!
-//! The worker cap is process-wide ([`set_thread_cap`]): the CLI's
-//! `--threads`, `EngineConfig::threads` and the service's wire fields
-//! all funnel into it, so one setting governs every fork-join site
+//! The worker cap is process-wide ([`set_thread_cap`]): it is operator
+//! configuration (the CLI's `--threads`, `EngineConfig::threads`), never
+//! a per-request setting, so one value governs every fork-join site
 //! (mining walks, per-seed PageRanks, engine batch groups) end to end.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

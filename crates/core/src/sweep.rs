@@ -1,32 +1,34 @@
-//! The scoring sweep: node-major distribution building (§3.2, fast path).
+//! The scoring sweep: node-major distribution building (§3.2).
 //!
-//! [`LabelDistributions::build_full`] is label-major: for every incident
-//! label it re-probes `neighbors_with_label` on every node of `Q ∪ C`,
-//! costing O(|L| · |Q ∪ C|) graph probes plus fresh `HashMap`/`Vec`
-//! allocations per label. The sweep inverts the loop: it visits each node
-//! of `Q ∪ C` **once**, walks its sorted per-label edge runs once (the
-//! ordering every [`GraphAccess`] backend guarantees — ascending label,
-//! ascending targets within a label), and scatters each run's
-//! observations into that label's `Inst`/`Card` vectors as it goes —
-//! O(Σ degree) graph work total, with all per-label scratch recycled in
-//! a [`ScoringWorkspace`].
+//! [`LabelDistributions::build_full`] is label-major: for one label it
+//! probes `neighbors_with_label` on every node of `Q ∪ C`, so scoring
+//! every incident label that way costs O(|L| · |Q ∪ C|) graph probes plus
+//! fresh `HashMap`/`Vec` allocations per label. The sweep inverts the
+//! loop: it visits each node of `Q ∪ C` **once**, walks its sorted
+//! per-label edge runs once (the ordering every [`GraphAccess`] backend
+//! guarantees — ascending label, ascending targets within a label), and
+//! scatters each run's observations into that label's `Inst`/`Card`
+//! vectors as it goes — O(Σ degree) graph work total, with all per-label
+//! scratch recycled in a [`ScoringWorkspace`]. It is the only scoring
+//! path; `build_full` stays as the public per-label builder and the
+//! oracle the parity tests compare against.
 //!
-//! ## Equivalence with the label-major path
+//! ## Equivalence with `build_full`
 //!
 //! [`build_all`] produces [`LabelDistributions`] field-for-field equal to
 //! per-label [`LabelDistributions::build_full`], by construction:
 //!
-//! - **Support order.** Both paths see context nodes in
-//!   [`Context::nodes`] (ranked) order and, per node, an `l`-run's
-//!   targets in ascending order — `neighbors_with_label(v, l)` *is* the
-//!   `l`-run of `edges(v)`. First-encounter value discovery is therefore
-//!   identical, so `inst_support` and every index derived from it match.
+//! - **Support order.** Both see context nodes in [`Context::nodes`]
+//!   (ranked) order and, per node, an `l`-run's targets in ascending
+//!   order — `neighbors_with_label(v, l)` *is* the `l`-run of
+//!   `edges(v)`. First-encounter value discovery is therefore identical,
+//!   so `inst_support` and every index derived from it match.
 //! - **None bucket / zero bin.** A node with no `l`-edge contributes
-//!   `inst[0] += 1` and `card[bin(0)] += 1` in the label-major path. The
-//!   sweep never sees such a node under `l`, so it counts the nodes it
-//!   *did* touch per label and derives the absent count as
-//!   `|set| − touched` — the same number, added once at finalization
-//!   (`bin(0) == 0` under both binnings).
+//!   `inst[0] += 1` and `card[bin(0)] += 1` in `build_full`. The sweep
+//!   never sees such a node under `l`, so it counts the nodes it *did*
+//!   touch per label and derives the absent count as `|set| − touched`
+//!   — the same number, added once at finalization (`bin(0) == 0` under
+//!   both binnings).
 //! - **Union growth and drops.** The query pass applies the identical
 //!   per-target match on `(value_index, support)`, in the identical
 //!   node-then-target order.
@@ -100,10 +102,6 @@ impl LabelSlot {
 /// unclaimed), so a long-lived workspace serves any number of queries
 /// with zero steady-state allocation of per-label scratch. The engine
 /// recycles these through its per-worker workspace pool.
-///
-/// The epoch-stamped label array doubles as the seen-bitmap of
-/// [`incident_labels`](crate::distributions::incident_labels): see
-/// [`incident_labels_ws`].
 #[derive(Debug, Default)]
 pub struct ScoringWorkspace {
     /// Epoch stamp per global label id; a stale stamp means "not seen
@@ -371,42 +369,6 @@ fn finalize(
     }
 }
 
-/// [`crate::distributions::incident_labels`] with the per-call seen
-/// bitmap replaced by the workspace's epoch-stamped label array: zero
-/// allocation beyond the output vector. Labels are deduped against the
-/// same visit mechanism the sweep uses and sorted ascending, so both
-/// paths agree on label ordering by construction.
-pub fn incident_labels_ws<G: GraphAccess>(
-    graph: &G,
-    query: &Query,
-    context: &Context,
-    include_inverse: bool,
-    ws: &mut ScoringWorkspace,
-) -> Vec<EdgeLabelId> {
-    ws.begin(graph.labels().len());
-    let mut out = Vec::new();
-    {
-        let mut visit = |node: NodeId| {
-            for l in graph.labels_of(node) {
-                if ws.stamp[l.index()] != ws.epoch {
-                    ws.stamp[l.index()] = ws.epoch;
-                    if include_inverse || !graph.labels().is_inverse(l) {
-                        out.push(l);
-                    }
-                }
-            }
-        };
-        for &q in query.nodes() {
-            visit(q);
-        }
-        for c in context.nodes() {
-            visit(c);
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,19 +467,6 @@ mod tests {
             &mut ws,
         );
         assert_eq!(first, again);
-    }
-
-    #[test]
-    fn incident_labels_ws_matches_allocating_version() {
-        let g = figure1();
-        let (q, c) = q_and_c(&g);
-        let mut ws = ScoringWorkspace::new();
-        for include_inverse in [false, true] {
-            assert_eq!(
-                incident_labels_ws(&g, &q, &c, include_inverse, &mut ws),
-                incident_labels(&g, &q, &c, include_inverse),
-            );
-        }
     }
 
     #[test]

@@ -102,8 +102,8 @@ pub struct EngineConfig {
     /// untouched). The cap is **process-wide**: the most recently
     /// constructed engine with `Some` wins for the whole process and
     /// stays in effect after that engine is dropped — it is the
-    /// operator's deployment knob, not a per-engine property (the
-    /// service layer scopes per-request/per-workload caps around it).
+    /// operator's deployment setting, not a per-engine property, and no
+    /// request can change it.
     /// Purely a performance/footprint knob: chunking — the part of the
     /// recipe randomized workloads depend on — is not affected, so
     /// results are identical under any cap.
@@ -179,13 +179,9 @@ pub struct EngineStats {
     /// not `ppr.misses` — accounts for their computations; the filled
     /// seeds then surface as `ppr.hits` when their groups execute.
     pub ppr_lanes_filled: u64,
-    /// Node-major scoring sweeps executed ([`nck_core::sweep`]; one per
-    /// cold query when `FindNcConfig::score_sweep` is on). Cached
-    /// results never re-sweep, so this also counts the scoring-stage
-    /// work the caches did *not* absorb.
-    pub label_sweeps: u64,
     /// Labels scored by the discrimination stage across executed
-    /// (non-cached) queries, whichever scoring path ran.
+    /// (non-cached) queries — the scoring-stage work the caches did
+    /// *not* absorb.
     pub labels_scored: u64,
     /// PPR vector cache counters.
     pub ppr: CacheStats,
@@ -235,7 +231,6 @@ pub struct QueryEngine<G: GraphAccess + Sync> {
     weight_builds: AtomicU64,
     ppr_block_runs: AtomicU64,
     ppr_lanes_filled: AtomicU64,
-    label_sweeps: AtomicU64,
     labels_scored: AtomicU64,
     ppr_workspaces: WorkspacePool,
 }
@@ -345,7 +340,6 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             weight_builds,
             ppr_block_runs: AtomicU64::new(0),
             ppr_lanes_filled: AtomicU64::new(0),
-            label_sweeps: AtomicU64::new(0),
             labels_scored: AtomicU64::new(0),
             ppr_workspaces: WorkspacePool::default(),
             config,
@@ -409,9 +403,6 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
                     .discover_with_context_ws(&self.graph, query, &context, &mut ws);
             self.ppr_workspaces.put_scoring(ws);
             let result = Arc::new(scored?);
-            if self.config.findnc.score_sweep {
-                self.label_sweeps.fetch_add(1, Ordering::Relaxed);
-            }
             self.labels_scored
                 .fetch_add(result.characteristics.len() as u64, Ordering::Relaxed);
             self.result_cache.insert(key.clone(), Arc::clone(&result));
@@ -518,20 +509,6 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
     /// `results[i]` answers `queries[i]`; the first failing group (in
     /// plan order) aborts the batch with its error.
     pub fn run_batch(&self, queries: &[Query]) -> Result<Vec<Arc<SearchResult>>, CoreError> {
-        self.run_batch_with_block_width(queries, None)
-    }
-
-    /// [`run_batch`](Self::run_batch) with a per-call override of the
-    /// blocked-kernel lane width (`None` uses
-    /// [`EngineConfig::ppr_block_width`]). A pure performance knob —
-    /// lanes are bit-identical to solo runs — so the service layer can
-    /// honor per-request widths against the shared engine without
-    /// forking it.
-    pub fn run_batch_with_block_width(
-        &self,
-        queries: &[Query],
-        block_width: Option<usize>,
-    ) -> Result<Vec<Arc<SearchResult>>, CoreError> {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.queries
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
@@ -541,7 +518,7 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         if self.config.warm_predicates {
             self.warm_batch_predicates(&plan, queries);
         }
-        let width = block_width.unwrap_or(self.config.ppr_block_width);
+        let width = self.config.ppr_block_width;
         if width > 1 {
             self.prefill_ppr_blocks(&plan, queries, width);
         }
@@ -716,7 +693,6 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             ppr_coalesced: self.ppr_flight.coalesced(),
             ppr_block_runs: self.ppr_block_runs.load(Ordering::Relaxed),
             ppr_lanes_filled: self.ppr_lanes_filled.load(Ordering::Relaxed),
-            label_sweeps: self.label_sweeps.load(Ordering::Relaxed),
             labels_scored: self.labels_scored.load(Ordering::Relaxed),
             ppr: self.ppr_cache.stats(),
             context: self.context_cache.stats(),
@@ -998,51 +974,6 @@ mod tests {
         assert_eq!(blocked.stats().ppr_lanes_filled, 16);
     }
 
-    /// The per-call width override beats the engine's configured width
-    /// in both directions.
-    #[test]
-    fn per_call_block_width_override_wins() {
-        use nck_core::config::PprConfig;
-        let g = leaders();
-        let cfg = EngineConfig {
-            selector: SelectorMode::RandomWalk,
-            randomwalk: RandomWalkConfig {
-                ppr: PprConfig {
-                    damping: 0.2,
-                    iterations: 10,
-                    parallel: false,
-                    epsilon: 0.0,
-                },
-                type_filter: TypeFilter::None,
-            },
-            ppr_block_width: 8,
-            ..fast_config()
-        };
-        let queries: Vec<Query> = (0..4)
-            .map(|i| {
-                Query::by_names(&g, [format!("leader{i}"), format!("leader{}", i + 4)]).unwrap()
-            })
-            .collect();
-        let engine = QueryEngine::new(&g, cfg.clone()).unwrap();
-        engine
-            .run_batch_with_block_width(&queries, Some(1))
-            .unwrap();
-        assert_eq!(engine.stats().ppr_block_runs, 0, "override disables");
-        let engine = QueryEngine::new(
-            &g,
-            EngineConfig {
-                ppr_block_width: 1,
-                ..cfg
-            },
-        )
-        .unwrap();
-        engine
-            .run_batch_with_block_width(&queries, Some(4))
-            .unwrap();
-        assert_eq!(engine.stats().ppr_block_runs, 2, "override enables");
-        assert_eq!(engine.stats().ppr_lanes_filled, 8);
-    }
-
     #[test]
     fn run_stream_chunks_and_preserves_order() {
         let g = leaders();
@@ -1138,34 +1069,21 @@ mod tests {
         assert!(Arc::ptr_eq(&results[0], &again));
     }
 
-    /// The sweep counters account cold scoring work only: cache hits
-    /// never re-sweep, and the legacy path sweeps nothing while still
-    /// counting scored labels.
+    /// `labels_scored` accounts cold scoring work only: a cache hit
+    /// never re-scores.
     #[test]
-    fn sweep_counters_account_cold_scoring_only() {
+    fn labels_scored_counts_cold_scoring_only() {
         let g = leaders();
         let q = Query::by_names(&g, ["Merkel", "Obama"]).unwrap();
         let engine = QueryEngine::new(&g, fast_config()).unwrap();
         let r = engine.run(&q).unwrap();
-        let s = engine.stats();
-        assert_eq!(s.label_sweeps, 1, "one cold query, one sweep");
-        assert_eq!(s.labels_scored, r.characteristics.len() as u64);
+        assert_eq!(engine.stats().labels_scored, r.characteristics.len() as u64);
         engine.run(&q).unwrap();
-        let s = engine.stats();
-        assert_eq!(s.label_sweeps, 1, "cache hit must not re-sweep");
-        assert_eq!(s.labels_scored, r.characteristics.len() as u64);
-
-        let mut legacy_cfg = fast_config();
-        legacy_cfg.findnc.score_sweep = false;
-        let legacy = QueryEngine::new(&g, legacy_cfg).unwrap();
-        let lr = legacy.run(&q).unwrap();
-        let s = legacy.stats();
-        assert_eq!(s.label_sweeps, 0, "legacy path never sweeps");
-        assert_eq!(s.labels_scored, lr.characteristics.len() as u64);
-        // And the knob is a pure performance toggle.
-        for (a, b) in r.characteristics.iter().zip(&lr.characteristics) {
-            assert_eq!((a.label, a.score.to_bits()), (b.label, b.score.to_bits()));
-        }
+        assert_eq!(
+            engine.stats().labels_scored,
+            r.characteristics.len() as u64,
+            "cache hit must not re-score"
+        );
     }
 
     #[test]

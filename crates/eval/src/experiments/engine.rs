@@ -70,9 +70,6 @@ pub fn engine(env: &EvalEnv) -> Report {
             mode: WorkloadMode::Compare,
             chunk: 0,
             clients: None,
-            threads: None,
-            ppr_block_width: None,
-            score_sweep: None,
         })
         .expect("compare workload verifies identical rankings");
 
@@ -144,9 +141,6 @@ pub fn engine(env: &EvalEnv) -> Report {
                 mode,
                 chunk: 0,
                 clients: None,
-                threads: None,
-                ppr_block_width: None,
-                score_sweep: None,
             })
             .expect("randomwalk workload runs")
     };
@@ -186,81 +180,6 @@ pub fn engine(env: &EvalEnv) -> Report {
         exact_secs / sparse_secs.max(1e-12),
     ));
 
-    // -- Label scoring: node-major sweep vs per-label loop --------------
-    //
-    // Same workload, same pipeline, only the scoring path toggled via the
-    // workload-level `score_sweep` knob. The sweep builds every label's
-    // distributions in one pass over Q ∪ C and fans the discrimination
-    // tests across workers; the legacy loop probes the graph once per
-    // label. Exactness is asserted below, not assumed: the two reports'
-    // rankings must match field for field before the ratio is printed.
-    let sweep_queries: Vec<QueryRequest> = specs
-        .iter()
-        .map(|s| QueryRequest::entities(s.names.iter().cloned()))
-        .collect();
-    let scoring_workload = |sweep: bool| {
-        let service = NckService::builder()
-            .knowledge_graph(env.yago.graph.clone())
-            .engine(EngineConfig {
-                findnc: pipeline_config(env),
-                ..EngineConfig::default()
-            })
-            .build()
-            .expect("service builds over the eval dataset");
-        service
-            .workload(&WorkloadRequest {
-                queries: sweep_queries.clone(),
-                repeat: REPEATS,
-                mode: WorkloadMode::Engine,
-                chunk: 0,
-                clients: None,
-                threads: None,
-                ppr_block_width: None,
-                score_sweep: Some(sweep),
-            })
-            .expect("scoring workload runs")
-    };
-    let swept = scoring_workload(true);
-    let legacy = scoring_workload(false);
-    assert_eq!(
-        swept.results, legacy.results,
-        "sweep and per-label scoring must answer bit-for-bit identically"
-    );
-    let swept_secs = swept.engine_secs.expect("engine phase timed");
-    let legacy_secs = legacy.engine_secs.expect("engine phase timed");
-    let swept_stats = swept.engine_stats.expect("engine phase snapshots stats");
-    r.line("");
-    r.table(
-        &["label scoring", "queries", "engine (s)", "labels scored"],
-        &[
-            vec![
-                "per-label loop".into(),
-                legacy.queries.to_string(),
-                f3(legacy_secs),
-                legacy
-                    .engine_stats
-                    .and_then(|s| s.labels_scored)
-                    .map(|n| n.to_string())
-                    .unwrap_or_default(),
-            ],
-            vec![
-                "node-major sweep".into(),
-                swept.queries.to_string(),
-                f3(swept_secs),
-                swept_stats
-                    .labels_scored
-                    .map(|n| n.to_string())
-                    .unwrap_or_default(),
-            ],
-        ],
-    );
-    r.line(format!(
-        "loop/sweep engine-phase ratio {:.2}x (>1 = sweep faster); {} sweep(s) \
-         executed; rankings verified exactly equal on both scoring paths",
-        legacy_secs / swept_secs.max(1e-12),
-        swept_stats.label_sweeps.unwrap_or(0),
-    ));
-
     // -- Concurrent serving: N client threads over one shared engine ----
     //
     // The sections above measure one submitter; this one measures the
@@ -292,9 +211,6 @@ pub fn engine(env: &EvalEnv) -> Report {
                 mode: WorkloadMode::Engine,
                 chunk: 0,
                 clients: Some(clients),
-                threads: None,
-                ppr_block_width: None,
-                score_sweep: None,
             })
             .expect("concurrent workload verifies identical rankings");
         let c = report.concurrent.expect("clients were requested");
@@ -353,11 +269,6 @@ mod tests {
         // verified (compare mode) and the weight table was built once.
         assert!(r.body.contains("pruned (eps 1e-4)"));
         assert!(r.body.contains("weight builds"));
-        // Sweep-vs-legacy scoring section: both paths ran, were verified
-        // exactly equal, and the sweep counters made it to the report.
-        assert!(r.body.contains("node-major sweep"));
-        assert!(r.body.contains("per-label loop"));
-        assert!(r.body.contains("both scoring paths"));
         // Concurrent serving section: clients column and verified parity.
         assert!(r.body.contains("clients"));
         assert!(r.body.contains("coalesced"));

@@ -227,16 +227,16 @@ fn deleting_a_field_from_the_real_wire_request_fails_the_pin() {
 /// Growing the wire surface is gated exactly like shrinking it: a new
 /// field added to the real `QueryOverrides` without re-pinning the
 /// golden must fail the clean-tree gate (this is the rule that forces
-/// fields like `ppr_block_width` through a reviewed `--bless`).
+/// every wire field through a reviewed `--bless`).
 #[test]
 fn adding_an_unpinned_field_to_query_overrides_fails_the_pin() {
     let root = repo_root();
     let real_types = std::fs::read_to_string(root.join("crates/api/src/types.rs")).unwrap();
-    let anchor = "    pub ppr_block_width: Option<usize>,";
+    let anchor = "    pub epsilon: Option<f64>,";
     assert!(real_types.contains(anchor), "anchor field must exist");
     let mutated = real_types.replace(
         anchor,
-        "    pub ppr_block_width: Option<usize>,\n    pub lane_stride: Option<usize>,",
+        "    pub epsilon: Option<f64>,\n    pub lane_stride: Option<usize>,",
     );
     assert_ne!(mutated, real_types);
 

@@ -12,7 +12,7 @@
 //! protocol, an ignored field is a misspelled option the client believes
 //! is in effect — loud rejection is the only honest behavior.
 
-use nck_api::{json, ApiError, ErrorBody, QueryRequest, QueryResponse};
+use nck_api::{json, ApiError, ErrorBody, QueryOverrides, QueryRequest, QueryResponse};
 use serde::{Deserialize, Serialize, Value};
 
 /// One request frame: a correlation id, the query, and an optional
@@ -104,18 +104,7 @@ pub fn decode_request(payload: &[u8]) -> Result<WireRequest, ApiError> {
         )?;
         if let Some(overrides) = query.get("overrides") {
             if *overrides != Value::Null {
-                check_keys(
-                    overrides,
-                    "request.query.overrides",
-                    &[
-                        "context_size",
-                        "walks",
-                        "selector",
-                        "type_filter",
-                        "epsilon",
-                        "threads",
-                    ],
-                )?;
+                check_keys(overrides, "request.query.overrides", QueryOverrides::FIELDS)?;
             }
         }
     }
@@ -166,12 +155,17 @@ mod tests {
         assert!(err.to_string().contains("topk"), "{err}");
     }
 
+    /// A misspelled key and the retired performance knobs alike: each is
+    /// a typed protocol error naming the field, never silently ignored.
     #[test]
     fn unknown_override_field_is_a_protocol_error() {
-        let payload = br#"{"id":1,"query":{"entities":["A"],"overrides":{"walk":9}}}"#;
-        let err = decode_request(payload).unwrap_err();
-        assert_eq!(err.code(), "protocol");
-        assert!(err.to_string().contains("walk"), "{err}");
+        for field in ["walk", "threads", "ppr_block_width", "score_sweep"] {
+            let payload =
+                format!(r#"{{"id":1,"query":{{"entities":["A"],"overrides":{{"{field}":1}}}}}}"#);
+            let err = decode_request(payload.as_bytes()).unwrap_err();
+            assert_eq!(err.code(), "protocol", "{field}");
+            assert!(err.to_string().contains(&format!("`{field}`")), "{err}");
+        }
     }
 
     #[test]

@@ -74,9 +74,6 @@ query/batch options:
   --ppr-block-width N       seeds per blocked-PPR lane block in randomwalk
                             batches (default: 8; 0 or 1 disables blocking;
                             results are identical at any width)
-  --score-sweep on|off      score labels through the node-major sweep
-                            (default: on; off restores the per-label loop;
-                            rankings are identical either way)
   --json                    emit JSON instead of tables
   --no-parallel             single-threaded execution
 
@@ -124,9 +121,6 @@ struct RunOpts {
     /// `Some` only when `--ppr-block-width` was given; the engine default
     /// applies otherwise.
     ppr_block_width: Option<usize>,
-    /// `Some` only when `--score-sweep` was given; the engine default
-    /// (sweep on) applies otherwise.
-    score_sweep: Option<bool>,
     json: bool,
     parallel: bool,
 }
@@ -145,7 +139,6 @@ impl Default for RunOpts {
             top: 10,
             threads: None,
             ppr_block_width: None,
-            score_sweep: None,
             json: false,
             parallel: true,
         }
@@ -281,13 +274,6 @@ fn parse_run_opts(args: &mut Vec<String>) -> Result<RunOpts, String> {
     if let Some(v) = take_flag(args, "--ppr-block-width")? {
         o.ppr_block_width = Some(parse_num(&v, "--ppr-block-width")?);
     }
-    if let Some(v) = take_flag(args, "--score-sweep")? {
-        o.score_sweep = Some(match v.as_str() {
-            "on" | "true" => true,
-            "off" | "false" => false,
-            _ => return Err(format!("--score-sweep must be on or off, got {v:?}")),
-        });
-    }
     o.json = take_switch(args, "--json");
     o.parallel = !take_switch(args, "--no-parallel");
     Ok(o)
@@ -315,9 +301,6 @@ fn engine_config(o: &RunOpts) -> EngineConfig {
     cfg.threads = o.threads;
     if let Some(width) = o.ppr_block_width {
         cfg.ppr_block_width = width;
-    }
-    if let Some(on) = o.score_sweep {
-        cfg.findnc.score_sweep = on;
     }
     cfg
 }
@@ -587,9 +570,6 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             mode,
             chunk,
             clients,
-            threads: opts.threads,
-            ppr_block_width: opts.ppr_block_width,
-            score_sweep: opts.score_sweep,
         };
         let report = service.workload(&request).map_err(|e| e.to_string())?;
         if opts.json {
@@ -899,20 +879,21 @@ mod tests {
     }
 
     #[test]
-    fn score_sweep_parses_on_off_and_rejects_junk() {
-        let mut a = args(&["--score-sweep", "off"]);
-        assert_eq!(parse_run_opts(&mut a).unwrap().score_sweep, Some(false));
-        let mut a = args(&["--score-sweep", "on"]);
-        assert_eq!(parse_run_opts(&mut a).unwrap().score_sweep, Some(true));
+    fn threads_and_block_width_are_engine_settings() {
+        // The worker cap and PPR block width reach the engine only through
+        // `EngineConfig`; no request carries them.
+        let mut a = args(&["--threads", "3", "--ppr-block-width", "4"]);
+        let cfg = engine_config(&parse_run_opts(&mut a).unwrap());
+        assert_eq!(cfg.threads, Some(3));
+        assert_eq!(cfg.ppr_block_width, 4);
         let mut a = args(&[]);
-        assert_eq!(
-            parse_run_opts(&mut a).unwrap().score_sweep,
-            None,
-            "only an explicit --score-sweep is recorded"
-        );
-        let mut a = args(&["--score-sweep", "maybe"]);
+        let cfg = engine_config(&parse_run_opts(&mut a).unwrap());
+        let default = EngineConfig::default();
+        assert_eq!(cfg.threads, default.threads);
+        assert_eq!(cfg.ppr_block_width, default.ppr_block_width);
+        let mut a = args(&["--threads", "0"]);
         let err = parse_run_opts(&mut a).unwrap_err();
-        assert!(err.contains("must be on or off"), "{err}");
+        assert!(err.contains("at least 1"), "{err}");
     }
 
     #[test]

@@ -1,20 +1,24 @@
-//! Property tests pinning the node-major scoring sweep to the per-label
-//! path it replaces:
+//! Property tests pinning FindNC's one scoring path — the node-major
+//! sweep plus worker-parallel discrimination — to the per-label oracle,
+//! `LabelDistributions::build_full`:
 //!
 //! - `sweep::build_all` must produce **field-for-field** identical
 //!   `LabelDistributions` to a per-label `build_full` loop over the
 //!   incident labels — under both instance-support policies, both
 //!   cardinality binnings, inverse labels on and off, and empty
 //!   contexts;
-//! - the swept `FindNc` ranking must be **bit-for-bit** identical to the
-//!   legacy per-label ranking on the CSR, triple-store and compact
-//!   backends, sequential and worker-parallel alike.
+//! - every label `FindNc` scores must carry the distributions, score and
+//!   significances **bit for bit** that `build_full` plus the configured
+//!   `MultinomialTest` give for that label alone, on the CSR,
+//!   triple-store and compact backends;
+//! - a one-worker cap must not change a bit of the ranking.
 
 #![forbid(unsafe_code)]
 
 use notable_characteristics::api::rankings_equal;
 use notable_characteristics::core::config::FindNcConfig;
 use notable_characteristics::core::context::Context;
+use notable_characteristics::core::discrimination::{Discrimination, MultinomialDiscrimination};
 use notable_characteristics::core::distributions::{
     incident_labels, CardinalityBinning, InstanceSupport, LabelDistributions,
 };
@@ -24,6 +28,7 @@ use notable_characteristics::core::query::Query;
 use notable_characteristics::core::sweep::{self, ScoringWorkspace};
 use notable_characteristics::graph::builder::GraphBuilder;
 use notable_characteristics::graph::{CompactGraph, GraphAccess, KnowledgeGraph, NodeId};
+use notable_characteristics::stats::MultinomialTest;
 use notable_characteristics::store::graph_view::to_triple_store;
 use notable_characteristics::store::StoreGraph;
 use proptest::prelude::*;
@@ -124,8 +129,9 @@ fn assert_distribution_parity<G: GraphAccess>(
     }
 }
 
-/// Swept vs legacy `FindNc` ranking, bit for bit, on one backend.
-fn assert_ranking_parity<G: GraphAccess + Sync>(
+/// Every scored label vs its per-label oracle, bit for bit, on one
+/// backend: `build_full` scored alone by the configured multinomial test.
+fn assert_oracle_parity<G: GraphAccess + Sync>(
     graph: &G,
     query_names: &[String],
     context_names: &[String],
@@ -136,30 +142,58 @@ fn assert_ranking_parity<G: GraphAccess + Sync>(
     let query = Query::by_names(graph, query_names.iter().map(String::as_str)).unwrap();
     let context = context_for(graph, context_names, &query);
     if context.is_empty() {
-        // An empty context is a selection error on both paths (FindNC
-        // refuses to score against no evidence); distribution-level
-        // parity for empty contexts is covered by the sibling test.
+        // An empty context is a selection error (FindNC refuses to score
+        // against no evidence); distribution-level parity for empty
+        // contexts is covered by the sibling test.
         return;
     }
-    let config = |sweep: bool| FindNcConfig {
+    let config = FindNcConfig {
         instance_support: support,
         card_binning: binning,
         include_inverse_labels: include_inverse,
-        score_sweep: sweep,
         ..FindNcConfig::default()
     };
-    let swept = FindNc::new(config(true))
-        .discover_with_context(graph, &query, &context)
-        .unwrap();
-    let legacy = FindNc::new(config(false))
-        .discover_with_context(graph, &query, &context)
-        .unwrap();
-    prop_assert!(
-        rankings_equal(&swept, &legacy),
-        "swept and legacy rankings diverged: {:?} vs {:?}",
-        swept.characteristics,
-        legacy.characteristics
+    let test = MultinomialDiscrimination::new(
+        MultinomialTest::new()
+            .with_alpha(config.alpha)
+            .unwrap()
+            .with_samples(config.mc_samples)
+            .with_seed(config.mc_seed),
     );
+    let result = FindNc::new(config)
+        .discover_with_context(graph, &query, &context)
+        .unwrap();
+    let mut labels: Vec<_> = result.characteristics.iter().map(|c| c.label).collect();
+    labels.sort_unstable();
+    prop_assert_eq!(
+        labels,
+        incident_labels(graph, &query, &context, include_inverse),
+        "every incident label is scored exactly once"
+    );
+    for ch in &result.characteristics {
+        let dists =
+            LabelDistributions::build_full(graph, &query, &context, ch.label, support, binning);
+        let want = test.score(&dists).unwrap();
+        prop_assert_eq!(&ch.distributions, &dists, "label {:?}", ch.label);
+        prop_assert_eq!(
+            (
+                ch.score.to_bits(),
+                ch.significance.map(f64::to_bits),
+                ch.inst_significance.map(f64::to_bits),
+                ch.card_significance.map(f64::to_bits),
+                ch.trigger,
+            ),
+            (
+                want.score.to_bits(),
+                want.significance().map(f64::to_bits),
+                want.inst_significance.map(f64::to_bits),
+                want.card_significance.map(f64::to_bits),
+                want.trigger,
+            ),
+            "label {:?} diverged from its per-label oracle",
+            ch.label
+        );
+    }
 }
 
 proptest! {
@@ -188,26 +222,25 @@ proptest! {
         assert_distribution_parity(&kg, &query_names, &context_names, support, binning, inv);
     }
 
-    /// The full scored ranking — δ, significances, trigger order — is
-    /// bit-for-bit identical between the swept (worker-parallel) and
-    /// legacy (sequential per-label) paths on every backend.
+    /// Every scored label — distributions, δ, significances, trigger —
+    /// is bit-for-bit its per-label oracle's on every backend.
     #[test]
-    fn swept_rankings_match_legacy_on_every_backend((ts, q, c, union, raw, inv) in cases()) {
+    fn swept_scores_match_per_label_oracle_on_every_backend((ts, q, c, union, raw, inv) in cases()) {
         let (union, raw, inv) = (union == 1, raw == 1, inv == 1);
         let kg = build(&ts);
         let query_names = dedup_names(&q);
         let context_names = dedup_names(&c);
         let support = if union { InstanceSupport::Union } else { InstanceSupport::ContextOnly };
         let binning = if raw { CardinalityBinning::Raw } else { CardinalityBinning::Log2 };
-        assert_ranking_parity(
+        assert_oracle_parity(
             &StoreGraph::new(to_triple_store(&kg)),
             &query_names, &context_names, support, binning, inv,
         );
-        assert_ranking_parity(
+        assert_oracle_parity(
             &CompactGraph::from_graph(&kg),
             &query_names, &context_names, support, binning, inv,
         );
-        assert_ranking_parity(&kg, &query_names, &context_names, support, binning, inv);
+        assert_oracle_parity(&kg, &query_names, &context_names, support, binning, inv);
     }
 
     /// The worker count is invisible in the output: capping the process
@@ -228,7 +261,6 @@ proptest! {
             instance_support: if union { InstanceSupport::Union } else { InstanceSupport::ContextOnly },
             card_binning: if raw { CardinalityBinning::Raw } else { CardinalityBinning::Log2 },
             include_inverse_labels: inv,
-            score_sweep: true,
             ..FindNcConfig::default()
         };
         let findnc = FindNc::new(config);
