@@ -11,9 +11,12 @@
 //! distribution pass: O(|L|·|Q∪C|) per-label probing vs one O(Σ degree)
 //! node-major sweep into an epoch-stamped reusable workspace.
 //! `score_sweep_cold_32` times FindNC's full cold scoring path (the sweep
-//! plus the per-label tests fanned across workers). Before any timing,
-//! every swept label must equal its per-label oracle: the same
-//! distributions field for field and the same score bits.
+//! plus the per-label tests fanned across workers) at a 500-sample
+//! Monte-Carlo budget; `score_cold_32_default` times the same path at
+//! `FindNcConfig::default()` (20,000 samples), the configuration users
+//! run. Before any timing, at both configurations, every swept label
+//! must equal its per-label oracle: the same distributions field for
+//! field and the same score bits.
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +28,7 @@ use nck_core::distributions::{incident_labels, LabelDistributions};
 use nck_core::findnc::FindNc;
 use nck_core::query::Query;
 use nck_core::sweep::{self, ScoringWorkspace};
-use nck_graph::NodeId;
+use nck_graph::{KnowledgeGraph, NodeId};
 use nck_stats::MultinomialTest;
 
 /// Paper defaults with a trimmed Monte-Carlo budget: a large budget
@@ -37,39 +40,12 @@ fn config() -> FindNcConfig {
     }
 }
 
-fn bench_score(c: &mut Criterion) {
-    let d = nck_bench::bench_dataset();
-    let graph = &d.graph;
-    let members = &d.domains[1].members;
-    assert!(
-        members.len() >= 32 + 100,
-        "planted domain too small for the scoring workload"
-    );
-
-    // 32 distinct seeds, each against a 100-node same-domain context
-    // (seed excluded, strictly descending similarity scores) — fixed
-    // inputs, so every iteration re-scores the same cold work.
-    let pairs: Vec<(Query, Context)> = members[..32]
-        .iter()
-        .enumerate()
-        .map(|(i, &seed)| {
-            let query = Query::new(graph, vec![seed]).expect("valid seed");
-            let ranked: Vec<(NodeId, f64)> = members[32..]
-                .iter()
-                .cycle()
-                .skip(i)
-                .take(100)
-                .enumerate()
-                .map(|(rank, &n)| (n, 1.0 / (rank + 1) as f64))
-                .collect();
-            (query, Context::from_ranked(ranked))
-        })
-        .collect();
-
-    // Parity before timing: every swept label equals its per-label
-    // oracle. Distributions field for field, scores bit for bit.
-    let cfg = config();
-    let findnc = FindNc::new(cfg.clone());
+/// Asserts FindNC's cold scoring path matches the per-label oracle on
+/// every pair: the swept distributions equal `build_full` field for
+/// field, and every scored label's score and significance bits equal the
+/// configured test run on the oracle's distributions.
+fn assert_matches_oracle(graph: &KnowledgeGraph, pairs: &[(Query, Context)], findnc: &FindNc) {
+    let cfg = findnc.config();
     let test = MultinomialDiscrimination::new(
         MultinomialTest::new()
             .with_alpha(cfg.alpha)
@@ -113,6 +89,46 @@ fn bench_score(c: &mut Criterion) {
                 "score diverged from the per-label oracle at query {i}"
             );
         }
+    }
+}
+
+fn bench_score(c: &mut Criterion) {
+    let d = nck_bench::bench_dataset();
+    let graph = &d.graph;
+    let members = &d.domains[1].members;
+    assert!(
+        members.len() >= 32 + 100,
+        "planted domain too small for the scoring workload"
+    );
+
+    // 32 distinct seeds, each against a 100-node same-domain context
+    // (seed excluded, strictly descending similarity scores) — fixed
+    // inputs, so every iteration re-scores the same cold work.
+    let pairs: Vec<(Query, Context)> = members[..32]
+        .iter()
+        .enumerate()
+        .map(|(i, &seed)| {
+            let query = Query::new(graph, vec![seed]).expect("valid seed");
+            let ranked: Vec<(NodeId, f64)> = members[32..]
+                .iter()
+                .cycle()
+                .skip(i)
+                .take(100)
+                .enumerate()
+                .map(|(rank, &n)| (n, 1.0 / (rank + 1) as f64))
+                .collect();
+            (query, Context::from_ranked(ranked))
+        })
+        .collect();
+
+    // Parity before timing, at both timed configurations: every swept
+    // label equals its per-label oracle. Distributions field for field,
+    // scores bit for bit.
+    let cfg = config();
+    let findnc = FindNc::new(cfg.clone());
+    let default_findnc = FindNc::new(FindNcConfig::default());
+    for findnc in [&findnc, &default_findnc] {
+        assert_matches_oracle(graph, &pairs, findnc);
     }
 
     let mut group = c.benchmark_group("score");
@@ -161,6 +177,16 @@ fn bench_score(c: &mut Criterion) {
         b.iter(|| {
             for (query, context) in &pairs {
                 findnc
+                    .discover_with_context_ws(graph, query, context, &mut ws)
+                    .unwrap();
+            }
+        })
+    });
+    group.bench_function("score_cold_32_default", |b| {
+        let mut ws = ScoringWorkspace::new();
+        b.iter(|| {
+            for (query, context) in &pairs {
+                default_findnc
                     .discover_with_context_ws(graph, query, context, &mut ws)
                     .unwrap();
             }

@@ -117,7 +117,7 @@ pub struct ScoringWorkspace {
 }
 
 impl ScoringWorkspace {
-    /// An empty workspace; arrays are sized on first [`begin`](Self::begin).
+    /// An empty workspace; its arrays are sized when the first sweep begins.
     pub fn new() -> Self {
         Self::default()
     }

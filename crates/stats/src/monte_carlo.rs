@@ -15,6 +15,7 @@
 
 use crate::error::StatsError;
 use crate::multinomial::Multinomial;
+use crate::special::ln_factorial;
 use rand::Rng;
 
 /// Log-space tolerance for counting ties, mirroring the exact test.
@@ -55,19 +56,51 @@ pub fn monte_carlo_significance<R: Rng + ?Sized>(
         return Ok(0.0);
     }
     let threshold = ln_px + LN_TIE_TOLERANCE.max(ln_px.abs() * LN_TIE_TOLERANCE);
+    let ln_n_fact = ln_factorial(n);
+    let ln_probs = dist.ln_probs();
 
+    // A sample touches at most `n` of the `k` categories: count draws in
+    // `counts`, remember which categories went from 0 to 1 in `touched`,
+    // and afterwards visit (and reset) only those.
     let mut hits: u64 = 0;
-    let mut buf = vec![0u64; dist.num_categories()];
+    let mut counts = vec![0u64; dist.num_categories()];
+    let mut touched: Vec<usize> = Vec::new();
     for _ in 0..samples {
-        dist.sample_into(n, rng, &mut buf);
-        let ln_py = dist
-            .ln_pmf(&buf)
-            .expect("sampled outcome has matching length");
-        if ln_py <= threshold {
+        for _ in 0..n {
+            let i = dist.sample_category(rng);
+            if counts[i] == 0 {
+                touched.push(i);
+            }
+            counts[i] += 1;
+        }
+        if sparse_ln_pmf(ln_n_fact, ln_probs, &mut counts, &mut touched) <= threshold {
             hits += 1;
         }
     }
     Ok((1.0 + hits as f64) / (1.0 + f64::from(samples)))
+}
+
+/// `ln Pr(y)` for the outcome `y` held in `counts`, which is non-zero only
+/// at the `touched` categories; `ln_n_fact` is `ln N!`.
+///
+/// Summing over the touched categories in ascending index order adds the
+/// same terms in the same order as [`Multinomial::ln_pmf`] on the dense
+/// vector, which skips zero counts, so the result is bit-identical to it.
+/// Resets `counts` to zero and clears `touched`.
+fn sparse_ln_pmf(
+    ln_n_fact: f64,
+    ln_probs: &[f64],
+    counts: &mut [u64],
+    touched: &mut Vec<usize>,
+) -> f64 {
+    touched.sort_unstable();
+    let mut ln_p = ln_n_fact;
+    for &i in touched.iter() {
+        let y = std::mem::take(&mut counts[i]);
+        ln_p += y as f64 * ln_probs[i] - ln_factorial(y);
+    }
+    touched.clear();
+    ln_p
 }
 
 #[cfg(test)]
@@ -125,6 +158,33 @@ mod tests {
         let est = monte_carlo_significance(&d, &[0, 5], 1_000, &mut rng).unwrap();
         assert!(est > 0.0);
         assert!(est < 0.05);
+    }
+
+    #[test]
+    fn sparse_ln_pmf_is_bit_identical_to_dense() {
+        let weights: Vec<f64> = (0..560).map(|i| f64::from(i % 6 + i % 11)).collect();
+        let d = mult(&weights);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut counts = vec![0u64; d.num_categories()];
+        for n in [1, 2, 7, 48, 300] {
+            for _ in 0..50 {
+                let dense = d.sample(n, &mut rng);
+                // Touched in descending order, as far from sorted as it gets.
+                let mut touched: Vec<usize> =
+                    (0..dense.len()).rev().filter(|&i| dense[i] > 0).collect();
+                for &i in &touched {
+                    counts[i] = dense[i];
+                }
+                let sparse =
+                    sparse_ln_pmf(ln_factorial(n), d.ln_probs(), &mut counts, &mut touched);
+                assert_eq!(
+                    sparse.to_bits(),
+                    d.ln_pmf(&dense).unwrap().to_bits(),
+                    "n = {n}"
+                );
+                assert!(counts.iter().all(|&c| c == 0) && touched.is_empty());
+            }
+        }
     }
 
     #[test]

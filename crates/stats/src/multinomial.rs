@@ -17,8 +17,16 @@ use rand::{Rng, RngExt as _};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Multinomial {
     probs: Vec<f64>,
-    /// Cumulative distribution for inverse-CDF sampling.
+    /// `ln πᵢ` per category (`-inf` where `πᵢ = 0`), computed once so the
+    /// pmf and the Monte-Carlo loop read it instead of calling `ln`.
+    ln_probs: Vec<f64>,
+    /// Cumulative distribution for inverse-CDF sampling. The last category
+    /// with mass and every category after it hold exactly 1.0.
     cdf: Vec<f64>,
+    /// Chen–Asau guide table: `guide[j]` is the first index whose `cdf`
+    /// reaches `j / guide.len()`, so a draw starts its search next to the
+    /// answer instead of binary-searching the whole `cdf`.
+    guide: Vec<usize>,
 }
 
 impl Multinomial {
@@ -42,17 +50,34 @@ impl Multinomial {
             return Err(StatsError::ZeroMass);
         }
         let probs: Vec<f64> = weights.iter().map(|&w| w / total).collect();
+        let ln_probs = probs.iter().map(|&p| p.ln()).collect();
         let mut cdf = Vec::with_capacity(probs.len());
         let mut acc = 0.0f64;
         for &p in &probs {
             acc += p;
             cdf.push(acc);
         }
-        // Guard against floating-point shortfall at the tail.
-        if let Some(last) = cdf.last_mut() {
-            *last = 1.0;
+        // Guard against floating-point shortfall at the tail: the last
+        // category with mass absorbs it, so no draw can land on a trailing
+        // zero-mass category.
+        let last_with_mass = probs.iter().rposition(|&p| p > 0.0).unwrap_or(0);
+        cdf[last_with_mass..].fill(1.0);
+        let m = cdf.len();
+        let mut guide = Vec::with_capacity(m);
+        let mut i = 0;
+        for j in 0..m {
+            let edge = j as f64 / m as f64;
+            while cdf[i] < edge {
+                i += 1;
+            }
+            guide.push(i);
         }
-        Ok(Self { probs, cdf })
+        Ok(Self {
+            probs,
+            ln_probs,
+            cdf,
+            guide,
+        })
     }
 
     /// Builds a multinomial from unsigned counts (the common case: the
@@ -74,6 +99,12 @@ impl Multinomial {
         &self.probs
     }
 
+    /// `ln πᵢ` per category, `-inf` where `πᵢ = 0`.
+    #[inline]
+    pub(crate) fn ln_probs(&self) -> &[f64] {
+        &self.ln_probs
+    }
+
     /// Natural log of `Pr(X = x)` for `X ~ Mult(N, π)` with `N = Σ xᵢ`.
     ///
     /// Returns `f64::NEG_INFINITY` when some `xᵢ > 0` has `πᵢ = 0` — the
@@ -93,14 +124,14 @@ impl Multinomial {
         }
         let n: u64 = x.iter().sum();
         let mut ln_p = ln_factorial(n);
-        for (&xi, &pi) in x.iter().zip(&self.probs) {
+        for (&xi, &ln_pi) in x.iter().zip(&self.ln_probs) {
             if xi == 0 {
                 continue;
             }
-            if pi == 0.0 {
+            if ln_pi == f64::NEG_INFINITY {
                 return Ok(f64::NEG_INFINITY);
             }
-            ln_p += xi as f64 * pi.ln() - ln_factorial(xi);
+            ln_p += xi as f64 * ln_pi - ln_factorial(xi);
         }
         Ok(ln_p)
     }
@@ -110,14 +141,36 @@ impl Multinomial {
         Ok(self.ln_pmf(x)?.exp())
     }
 
-    /// Draws one category index according to `π` (inverse-CDF).
+    /// Draws one category index according to `π` (inverse-CDF). Never
+    /// returns a category with `πᵢ = 0`.
     #[inline]
     pub fn sample_category<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random();
-        // Binary search over the CDF; partition_point returns the first
-        // index whose cumulative mass reaches u.
-        let idx = self.cdf.partition_point(|&c| c < u);
-        idx.min(self.probs.len() - 1)
+        // `u = 0` would select a leading zero-mass category (its cdf is
+        // 0 ≥ 0). The smallest positive double selects the first category
+        // with mass instead, and leaves every other draw, a positive
+        // multiple of 2⁻⁵³, where it was.
+        self.category_at(u.max(f64::from_bits(1)))
+    }
+
+    /// The first index whose cumulative mass reaches `u ∈ [0, 1)`, i.e.
+    /// `self.cdf.partition_point(|&c| c < u)`, found from the guide table.
+    #[inline]
+    fn category_at(&self, u: f64) -> usize {
+        let m = self.guide.len();
+        let mut i = self.guide[((u * m as f64) as usize).min(m - 1)];
+        // `u · m` can round up across a bucket edge, starting the search
+        // past the answer: step back first.
+        while i > 0 && self.cdf[i - 1] >= u {
+            i -= 1;
+        }
+        // A bucket holds about one cdf entry: one unconditional step
+        // settles most draws without a mispredicted loop exit.
+        i += usize::from(self.cdf[i] < u);
+        while self.cdf[i] < u {
+            i += 1;
+        }
+        i
     }
 
     /// Draws a full outcome vector of `n` trials into `out` (reused buffer).
@@ -236,6 +289,93 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let x = m.sample(10_000, &mut rng);
         assert_eq!(x[1], 0);
+    }
+
+    /// An `Rng` that returns one fixed 64-bit word forever.
+    struct FixedBits(u64);
+
+    impl Rng for FixedBits {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn zero_draw_skips_leading_zero_mass_categories() {
+        // Any word below 2¹¹ becomes u = 0.0, whose cdf search stops at
+        // the first category (cdf 0 ≥ 0) even when it has no mass.
+        let m = Multinomial::from_counts(&[0, 1]).unwrap();
+        assert_eq!(m.sample_category(&mut FixedBits(0)), 1);
+        assert_eq!(m.sample_category(&mut FixedBits((1 << 11) - 1)), 1);
+        let m = Multinomial::from_counts(&[0, 0, 3, 0, 2]).unwrap();
+        assert_eq!(m.sample_category(&mut FixedBits(0)), 2);
+        // With mass on category 0, u = 0 still selects it.
+        let m = Multinomial::from_counts(&[1, 0, 1]).unwrap();
+        assert_eq!(m.sample_category(&mut FixedBits(0)), 0);
+    }
+
+    #[test]
+    fn top_draw_never_reaches_trailing_zero_mass_categories() {
+        // Seven sevenths sum to 1 − 2⁻⁵² in floating point, below the top
+        // draw u = 1 − 2⁻⁵³, which used to land on the forced cdf = 1.0 of
+        // the trailing zero-mass category.
+        let m = Multinomial::from_counts(&[1, 1, 1, 1, 1, 1, 1, 0, 0]).unwrap();
+        let top = u64::MAX;
+        let mass: f64 = m.probs().iter().sum();
+        assert!(mass < 1.0 - f64::EPSILON / 2.0, "mass {mass}");
+        assert_eq!(m.sample_category(&mut FixedBits(top)), 6);
+        // Every draw lands on a category with mass.
+        for bits in [0, 1 << 11, 1 << 62, 1 << 63, top - (1 << 11), top] {
+            let i = m.sample_category(&mut FixedBits(bits));
+            assert!(m.probs()[i] > 0.0, "bits {bits:#x} drew zero-mass {i}");
+        }
+    }
+
+    #[test]
+    fn guide_table_matches_binary_search() {
+        let dists = [
+            vec![1.0],
+            vec![0.0, 1.0],
+            vec![1.0, 0.0],
+            vec![0.5, 0.5],
+            vec![0.1; 10],
+            [vec![1.0; 7], vec![0.0; 3]].concat(),
+            vec![0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 2.0, 0.0, 5.0, 0.0, 0.0],
+            // Runs of equal cdf values, uneven buckets, a dominant head.
+            vec![1e6, 0.0, 0.0, 1.0, 1.0, 0.0, 1e-9, 0.0, 3.0],
+            (0..97).map(|i| f64::from(i % 7)).collect(),
+            (0..64).map(|i| 0.5f64.powi(i)).collect(),
+            // cdf[0] sits one ulp below 5/6, and u = cdf[0] times 6 rounds
+            // up to 5: the search starts past the answer and must step back.
+            {
+                let below = (5.0f64 / 6.0).next_down();
+                assert_eq!((below * 6.0) as usize, 5);
+                vec![below, 1.0 - below, 0.0, 0.0, 0.0, 0.0]
+            },
+        ];
+        for weights in &dists {
+            let m = Multinomial::from_weights(weights).unwrap();
+            let mut us = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+            for &c in &m.cdf {
+                for u in [c, c.next_down(), c.next_up()] {
+                    if (0.0..1.0).contains(&u) {
+                        us.push(u);
+                    }
+                }
+            }
+            let buckets = m.guide.len() as f64;
+            for j in 0..m.guide.len() {
+                let edge = j as f64 / buckets;
+                us.extend([edge, edge.next_down().max(0.0), edge.next_up()]);
+            }
+            for u in us {
+                assert_eq!(
+                    m.category_at(u),
+                    m.cdf.partition_point(|&c| c < u),
+                    "weights {weights:?}, u = {u:e}"
+                );
+            }
+        }
     }
 
     #[test]
