@@ -2,14 +2,14 @@
 
 use crate::error::ApiError;
 use crate::types::{
-    Characteristic, ConcurrentReport, EngineStatsReport, QueryOverrides, QueryRequest,
-    QueryResponse, WorkloadMode, WorkloadReport, WorkloadRequest,
+    Characteristic, ConcurrentReport, EngineStatsReport, QueryRequest, QueryResponse, WorkloadMode,
+    WorkloadReport, WorkloadRequest,
 };
 use nck_core::error::CoreError;
 use nck_core::findnc::{FindNc, SearchResult};
 use nck_core::ppr::RandomWalkSelector;
 use nck_core::query::Query;
-use nck_engine::{EngineConfig, EngineStats, QueryEngine, SelectorMode};
+use nck_engine::{EngineConfig, EngineStats, Overrides, QueryEngine, SelectorMode};
 use nck_graph::io::load_compact;
 use nck_graph::{CompactGraph, ErasedGraph, GraphAccess, GraphError, KnowledgeGraph};
 use nck_store::graph_view::to_knowledge_graph;
@@ -259,11 +259,10 @@ impl NckServiceBuilder {
         backend_name: &'static str,
         config: EngineConfig,
     ) -> Result<NckService, ApiError> {
-        let engine = QueryEngine::new(graph.clone(), config.clone())?;
+        let engine = QueryEngine::new(graph.clone(), config)?;
         Ok(NckService {
             graph,
             engine,
-            config,
             backend_name,
             load_secs: 0.0,
         })
@@ -309,7 +308,6 @@ impl NckServiceBuilder {
 pub struct NckService {
     graph: ErasedGraph,
     engine: QueryEngine<ErasedGraph>,
-    config: EngineConfig,
     backend_name: &'static str,
     load_secs: f64,
 }
@@ -352,7 +350,7 @@ impl NckService {
     }
 
     /// The short name of the materialized backend (`"csr"`, `"store"`,
-    /// `"erased"`).
+    /// `"compact"`, or `"erased"` for a pre-erased source).
     pub fn backend_name(&self) -> &'static str {
         self.backend_name
     }
@@ -391,87 +389,42 @@ impl NckService {
         self.engine.stats()
     }
 
-    /// Answers one query. The response carries its wall-clock time in
+    /// Answers one query, with or without overrides, through the
+    /// engine's caches. The response carries its wall-clock time in
     /// [`QueryResponse::secs`].
     pub fn query(&self, request: &QueryRequest) -> Result<QueryResponse, ApiError> {
         let query = self.resolve(request)?;
         let overrides = self.pipeline_overrides(request)?;
         let started = Instant::now();
-        let result = match overrides {
-            Some(overrides) => self.run_with_overrides(&query, overrides)?,
-            None => self.engine.run(&query)?,
-        };
+        let result = self.engine.run_with(&query, &overrides)?;
         let mut response = self.response_for(request, &result);
         response.secs = Some(started.elapsed().as_secs_f64());
         Ok(response)
     }
 
-    /// Answers a batch. Requests without overrides execute through the
-    /// engine's batch planner (dedup + seed clustering + shared caches);
-    /// requests with overrides run one-off pipelines. Every request is
-    /// validated before any of them runs. Responses come back in input
-    /// order.
+    /// Answers a batch through the engine's batch planner (dedup + seed
+    /// clustering + shared caches). Plain and overridden requests mix
+    /// freely: they group by seed list and the settings they run under.
+    /// Every request is validated before any of them runs. Responses
+    /// come back in input order.
     pub fn batch(&self, requests: &[QueryRequest]) -> Result<Vec<QueryResponse>, ApiError> {
-        let planned = requests
-            .iter()
-            .map(|r| Ok((r, self.resolve(r)?, self.pipeline_overrides(r)?)))
-            .collect::<Result<Vec<_>, ApiError>>()?;
-        let mut engine_queries: Vec<Query> = Vec::new();
-        let mut engine_positions: Vec<usize> = Vec::new();
-        let mut out: Vec<Option<QueryResponse>> = vec![None; requests.len()];
-        for (i, (request, query, overrides)) in planned.into_iter().enumerate() {
-            match overrides {
-                Some(overrides) => {
-                    let result = self.run_with_overrides(&query, overrides)?;
-                    // lint: allow(panic_path) — `i` enumerates `requests`, and `out` was sized to `requests.len()`
-                    out[i] = Some(self.response_for(request, &result));
-                }
-                None => {
-                    engine_queries.push(query);
-                    engine_positions.push(i);
-                }
-            }
-        }
-        if !engine_queries.is_empty() {
-            let results = self.engine.run_batch(&engine_queries)?;
-            for (pos, result) in engine_positions.into_iter().zip(&results) {
-                // lint: allow(panic_path) — `pos` came from enumerating `requests`; `out` is `requests.len()` long
-                out[pos] = Some(self.response_for(&requests[pos], result));
-            }
-        }
-        Ok(out
-            .into_iter()
-            // lint: allow(panic_path) — each slot was filled by exactly one of the two loops above
-            .map(|r| r.expect("every request answered"))
-            .collect())
+        let planned = self.resolve_all(requests)?;
+        let results = self.engine.run_batch_with(&planned)?;
+        Ok(self.responses_for(requests, &results))
     }
 
     /// Streams a request sequence through the engine in batches of
-    /// `chunk_size` (clamped to at least 1). Overrides are rejected here:
-    /// a stream is the high-throughput path, and one-off pipelines would
-    /// serialize it.
+    /// `chunk_size` (clamped to at least 1), overrides and all, through
+    /// the same caches as [`batch`](Self::batch). Every request is
+    /// validated before any of them runs.
     pub fn stream<I>(&self, requests: I, chunk_size: usize) -> Result<Vec<QueryResponse>, ApiError>
     where
         I: IntoIterator<Item = QueryRequest>,
     {
         let requests: Vec<QueryRequest> = requests.into_iter().collect();
-        let mut queries = Vec::with_capacity(requests.len());
-        for request in &requests {
-            if effective_overrides(request).is_some() {
-                return Err(ApiError::InvalidRequest(
-                    "per-request overrides are not supported in streams; \
-                     use query() or batch()"
-                        .into(),
-                ));
-            }
-            queries.push(self.resolve(request)?);
-        }
-        let results = self.engine.run_stream(queries, chunk_size)?;
-        Ok(requests
-            .iter()
-            .zip(&results)
-            .map(|(request, result)| self.response_for(request, result))
-            .collect())
+        let planned = self.resolve_all(&requests)?;
+        let results = self.engine.run_stream_with(planned, chunk_size)?;
+        Ok(self.responses_for(&requests, &results))
     }
 
     /// Executes a benchmark-shaped workload: the distinct queries replayed
@@ -492,7 +445,7 @@ impl NckService {
         if let Some(bad) = request
             .queries
             .iter()
-            .position(|q| effective_overrides(q).is_some())
+            .position(|q| q.overrides.is_some_and(|o| !o.is_noop()))
         {
             return Err(ApiError::InvalidRequest(format!(
                 "workload query {bad} carries overrides; workloads run \
@@ -536,7 +489,7 @@ impl NckService {
             // per-workload by construction. Backend-level state (the
             // store's per-predicate runs) is shared by design and leveled
             // above for compare mode.
-            let engine = QueryEngine::new(self.graph.clone(), self.config.clone())?;
+            let engine = QueryEngine::new(self.graph.clone(), self.engine.config().clone())?;
             let started = Instant::now();
             let results = if request.chunk > 0 {
                 engine.run_stream(workload.iter().cloned(), request.chunk)?
@@ -592,12 +545,7 @@ impl NckService {
             None => None,
         };
 
-        let responses: Vec<QueryResponse> = request
-            .queries
-            .iter()
-            .zip(&results)
-            .map(|(q, r)| self.response_for(q, r))
-            .collect();
+        let responses = self.responses_for(&request.queries, &results);
         let speedup = match (engine_secs, sequential_secs) {
             (Some(e), Some(s)) => Some(s / f64::max(e, 1e-12)),
             _ => None,
@@ -625,7 +573,7 @@ impl NckService {
         workload: &[Query],
         reference: &[Arc<SearchResult>],
     ) -> Result<ConcurrentReport, ApiError> {
-        let engine = QueryEngine::new(self.graph.clone(), self.config.clone())?;
+        let engine = QueryEngine::new(self.graph.clone(), self.engine.config().clone())?;
         let started = Instant::now();
         type ClientRun = Result<(Vec<Arc<SearchResult>>, Vec<f64>), CoreError>;
         let per_client: Vec<ClientRun> = std::thread::scope(|s| {
@@ -691,20 +639,32 @@ impl NckService {
             .map_err(ApiError::from_resolution)
     }
 
-    /// The request's overrides, if it sets any, after checking that the
-    /// effective selector — the overridden one, else the engine's — reads
-    /// every one of them. `epsilon` tunes only RandomWalk's PageRank and
-    /// `walks` only ContextRW's PathMining; either one under the other
-    /// selector would buy a cold uncached run whose answer ignores it, so
-    /// it is an [`ApiError::InvalidRequest`] instead.
-    fn pipeline_overrides<'r>(
-        &self,
-        request: &'r QueryRequest,
-    ) -> Result<Option<&'r QueryOverrides>, ApiError> {
-        let Some(overrides) = effective_overrides(request) else {
-            return Ok(None);
+    /// Resolves and validates every request before any of them runs.
+    fn resolve_all(&self, requests: &[QueryRequest]) -> Result<Vec<(Query, Overrides)>, ApiError> {
+        requests
+            .iter()
+            .map(|r| Ok((self.resolve(r)?, self.pipeline_overrides(r)?)))
+            .collect()
+    }
+
+    /// The request's overrides in engine form, each checked before any
+    /// work runs; a violation is an [`ApiError::InvalidRequest`], and
+    /// nothing is clamped:
+    ///
+    /// - the effective selector — the overridden one, else the engine's —
+    ///   must read it: `epsilon` tunes only RandomWalk's PageRank and
+    ///   `walks` only ContextRW's PathMining;
+    /// - `context_size` must be in 1..=|V|;
+    /// - `walks` must be in 1..= the engine's configured walk budget: a
+    ///   request may trade accuracy for speed, but never buy more work
+    ///   than the operator provisioned;
+    /// - `epsilon` must be finite and in [0, 1).
+    fn pipeline_overrides(&self, request: &QueryRequest) -> Result<Overrides, ApiError> {
+        let Some(overrides) = request.overrides else {
+            return Ok(Overrides::default());
         };
-        let selector = overrides.selector.unwrap_or(self.config.selector);
+        let config = self.engine.config();
+        let selector = overrides.selector.unwrap_or(config.selector);
         let ignored = match selector {
             SelectorMode::ContextRw => overrides.epsilon.map(|_| "epsilon"),
             SelectorMode::RandomWalk => overrides.walks.map(|_| "walks"),
@@ -714,7 +674,29 @@ impl NckService {
                 "override `{field}` has no effect under the {selector:?} selector"
             )));
         }
-        Ok(Some(overrides))
+        let out_of_range = |field: &str, bounds: String, got: String| {
+            Err(ApiError::InvalidRequest(format!(
+                "override `{field}` must be in {bounds}, got {got}"
+            )))
+        };
+        if let Some(k) = overrides.context_size {
+            let max = self.graph.num_nodes();
+            if !(1..=max).contains(&k) {
+                return out_of_range("context_size", format!("1..={max}"), k.to_string());
+            }
+        }
+        if let Some(walks) = overrides.walks {
+            let max = config.findnc.context.mining.walks;
+            if !(1..=max).contains(&walks) {
+                return out_of_range("walks", format!("1..={max}"), walks.to_string());
+            }
+        }
+        if let Some(epsilon) = overrides.epsilon {
+            if !(0.0..1.0).contains(&epsilon) {
+                return out_of_range("epsilon", "[0, 1)".into(), epsilon.to_string());
+            }
+        }
+        Ok(overrides.into())
     }
 
     /// The sequential baseline pipeline (`None` selector = ContextRW via
@@ -735,11 +717,12 @@ impl NckService {
     /// every `select` call, charging the baseline one full edge scan per
     /// query.
     fn sequential_pipeline(&self, bit_exact: bool) -> (FindNc, Option<RandomWalkSelector>) {
-        let findnc = FindNc::new(self.config.findnc.clone());
-        let selector = match self.config.selector {
+        let config = self.engine.config();
+        let findnc = FindNc::new(config.findnc.clone());
+        let selector = match config.selector {
             SelectorMode::ContextRw => None,
             SelectorMode::RandomWalk => {
-                let mut config = self.config.randomwalk.clone();
+                let mut config = config.randomwalk.clone();
                 if bit_exact {
                     config.ppr.parallel = false;
                 }
@@ -750,50 +733,6 @@ impl NckService {
             }
         };
         (findnc, selector)
-    }
-
-    /// One-off pipeline for an overridden request (outside the shared
-    /// caches — they are only valid under the base configuration).
-    fn run_with_overrides(
-        &self,
-        query: &Query,
-        overrides: &QueryOverrides,
-    ) -> Result<Arc<SearchResult>, ApiError> {
-        let mut config = self.config.clone();
-        if let Some(k) = overrides.context_size {
-            config.findnc.context_size = k;
-        }
-        if let Some(walks) = overrides.walks {
-            config.findnc.context.mining.walks = walks;
-        }
-        if let Some(selector) = overrides.selector {
-            config.selector = selector;
-        }
-        if let Some(filter) = overrides.type_filter {
-            config.findnc.context.type_filter = filter;
-            config.randomwalk.type_filter = filter;
-        }
-        if let Some(epsilon) = overrides.epsilon {
-            config.randomwalk.ppr.epsilon = epsilon;
-        }
-        let findnc = FindNc::new(config.findnc.clone());
-        let result = match config.selector {
-            SelectorMode::ContextRw => findnc.discover(&self.graph, query),
-            SelectorMode::RandomWalk => {
-                // Reuse the engine's Eq.-1 weight table when it has one
-                // (weights depend only on the graph, not on overridable
-                // settings); overrides switching a ContextRw engine to
-                // RandomWalk derive it per request.
-                let selector = match self.engine.edge_weights() {
-                    Some(weights) => {
-                        RandomWalkSelector::with_weights(config.randomwalk.clone(), weights)
-                    }
-                    None => RandomWalkSelector::new(config.randomwalk.clone()),
-                };
-                findnc.discover_with_selector(&self.graph, query, &selector)
-            }
-        }?;
-        Ok(Arc::new(result))
     }
 
     fn response_for(&self, request: &QueryRequest, result: &SearchResult) -> QueryResponse {
@@ -821,11 +760,18 @@ impl NckService {
             secs: None,
         }
     }
-}
 
-/// `Some(overrides)` only when the request sets at least one override.
-fn effective_overrides(request: &QueryRequest) -> Option<&QueryOverrides> {
-    request.overrides.as_ref().filter(|o| !o.is_noop())
+    fn responses_for(
+        &self,
+        requests: &[QueryRequest],
+        results: &[Arc<SearchResult>],
+    ) -> Vec<QueryResponse> {
+        requests
+            .iter()
+            .zip(results)
+            .map(|(request, result)| self.response_for(request, result))
+            .collect()
+    }
 }
 
 /// Exact ranking equality: same context order, same labels, same scores

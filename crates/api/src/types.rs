@@ -17,7 +17,7 @@
 //! significances are unaffected (`null` ↔ `None`).
 
 use nck_core::context::TypeFilter;
-use nck_engine::{CacheStats, EngineStats, SelectorMode};
+use nck_engine::{CacheStats, EngineStats, Overrides, SelectorMode};
 use serde::{Deserialize, Serialize};
 
 /// One notable-characteristics query: which entities, plus presentation
@@ -36,10 +36,13 @@ pub struct QueryRequest {
     /// computed either way); `None` returns every scored label.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub top: Option<usize>,
-    /// Per-request pipeline overrides. When set, the query runs on a
-    /// fresh one-off pipeline **outside the shared engine caches** (cache
-    /// entries are keyed by seed list under one fixed configuration, so
-    /// serving overridden queries from them would be wrong).
+    /// Per-request pipeline overrides. An overridden query runs through
+    /// the same engine caches and single-flight path as a plain one: the
+    /// caches key on the seed list plus exactly the settings each layer
+    /// reads, so repeats of an overridden query are cache hits, and an
+    /// override equal to the engine's own setting shares the plain
+    /// query's entries. Each value is bounded before any work runs (see
+    /// [`QueryOverrides`]).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub overrides: Option<QueryOverrides>,
 }
@@ -72,7 +75,11 @@ impl QueryRequest {
 ///
 /// Every field changes the answer. Performance settings (worker-thread
 /// cap, PPR block width) are operator configuration on the engine and
-/// have no wire field.
+/// have no wire field. The service rejects, with a typed
+/// `invalid_request` and before any work, a field the effective selector
+/// does not read and any value out of bounds: `context_size` outside
+/// 1..=|V|, `walks` outside 1..= the engine's configured walk budget,
+/// `epsilon` not in [0, 1). Nothing is clamped.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct QueryOverrides {
     /// Context size `|C|`.
@@ -107,10 +114,22 @@ impl QueryOverrides {
         "epsilon",
     ];
 
-    /// Whether every override is unset (the request then runs on the
-    /// shared engine and its caches).
+    /// Whether every override is unset (the request then answers exactly
+    /// as one without overrides).
     pub fn is_noop(&self) -> bool {
         *self == Self::default()
+    }
+}
+
+impl From<QueryOverrides> for Overrides {
+    fn from(o: QueryOverrides) -> Self {
+        Self {
+            context_size: o.context_size,
+            walks: o.walks,
+            selector: o.selector,
+            type_filter: o.type_filter,
+            epsilon: o.epsilon,
+        }
     }
 }
 

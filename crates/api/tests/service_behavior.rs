@@ -237,10 +237,11 @@ fn randomwalk_compare_mode_agrees_under_epsilon_pruning() {
     assert!(report.speedup.is_some());
 }
 
-/// A per-request ε override runs a one-off sparse pipeline without
-/// touching the shared engine caches.
+/// A per-request ε override runs through the engine like any request —
+/// its own cache entries, keyed on the ε it runs under — and a repeat
+/// is a result-cache hit that executes nothing.
 #[test]
-fn epsilon_override_runs_outside_shared_caches() {
+fn epsilon_override_runs_through_the_engine_caches() {
     use nck_api::QueryOverrides;
 
     let mut config = toy_config();
@@ -253,14 +254,26 @@ fn epsilon_override_runs_outside_shared_caches() {
         epsilon: Some(1e-3),
         ..QueryOverrides::default()
     });
-    let overridden = service.query(&request).unwrap();
+    let mut overridden = service.query(&request).unwrap();
     assert!(!overridden.context.is_empty());
-    let stats = service.stats();
+    let stats = service.raw_stats();
     assert_eq!(
-        (stats.submitted, stats.executed),
-        (0, 0),
-        "override path must bypass the engine"
+        (stats.queries, stats.executed_groups, stats.result.hits),
+        (1, 1, 0),
+        "the override runs through the engine"
     );
+    assert_eq!(stats.ppr.misses, 2, "one PageRank per seed at ε = 1e-3");
+
+    let mut again = service.query(&request).unwrap();
+    let stats = service.raw_stats();
+    assert_eq!(
+        (stats.queries, stats.executed_groups, stats.result.hits),
+        (2, 1, 1),
+        "a repeat is a result-cache hit"
+    );
+    overridden.secs = None;
+    again.secs = None;
+    assert_eq!(overridden, again);
 }
 
 /// The concurrent serving phase fans the workload across client
@@ -434,4 +447,87 @@ fn overrides_the_effective_selector_ignores_are_rejected() {
         ..QueryOverrides::default()
     });
     assert!(!service.query(&request).unwrap().context.is_empty());
+}
+
+/// Every override is bounded before any work, through both `query` and
+/// `batch`: the value at each bound is accepted, one past it is a typed
+/// `invalid_request`, and a rejected request moves no engine counter.
+/// Nothing is clamped.
+#[test]
+fn override_bounds_are_enforced_before_any_work() {
+    use nck_api::QueryOverrides;
+
+    let randomwalk = || {
+        let mut config = toy_config();
+        config.selector = SelectorMode::RandomWalk;
+        config.randomwalk.type_filter = TypeFilter::None;
+        config.randomwalk.ppr.parallel = false;
+        config
+    };
+    let nodes = toy_service(toy_config()).num_nodes();
+    let walks = toy_config().findnc.context.mining.walks;
+    let context_size = |k| QueryOverrides {
+        context_size: Some(k),
+        ..QueryOverrides::default()
+    };
+    let walk_budget = |w| QueryOverrides {
+        walks: Some(w),
+        ..QueryOverrides::default()
+    };
+    let epsilon = |e| QueryOverrides {
+        epsilon: Some(e),
+        ..QueryOverrides::default()
+    };
+    // (engine, overrides, accepted)
+    let cases = [
+        (toy_config(), context_size(1), true),
+        (toy_config(), context_size(nodes), true),
+        (toy_config(), context_size(0), false),
+        (toy_config(), context_size(nodes + 1), false),
+        (randomwalk(), context_size(0), false),
+        (toy_config(), walk_budget(1), true),
+        (toy_config(), walk_budget(walks), true),
+        (toy_config(), walk_budget(0), false),
+        (toy_config(), walk_budget(walks + 1), false),
+        (toy_config(), walk_budget(1_000_000_000), false),
+        (randomwalk(), epsilon(0.0), true),
+        (randomwalk(), epsilon(-0.0), true),
+        (randomwalk(), epsilon(1.0 - f64::EPSILON / 2.0), true),
+        (randomwalk(), epsilon(1.0), false),
+        (randomwalk(), epsilon(-f64::from_bits(1)), false),
+        (randomwalk(), epsilon(-1.0), false),
+        (randomwalk(), epsilon(f64::NAN), false),
+        (randomwalk(), epsilon(f64::INFINITY), false),
+    ];
+    for (config, overrides, accepted) in cases {
+        let mut request = QueryRequest::entities(["Merkel", "Obama"]);
+        request.overrides = Some(overrides);
+        let plain = QueryRequest::entities(["leader0"]);
+        let service = toy_service(config);
+        let single = service.query(&request);
+        let batch = service.batch(&[plain, request]);
+        let stats = service.raw_stats();
+        if accepted {
+            // Accepted means the pipeline ran: it may still find too few
+            // candidates, but that is a `pipeline` error, not a rejection.
+            for code in [single.err(), batch.err()]
+                .iter()
+                .flatten()
+                .map(|e| e.code())
+            {
+                assert_ne!(code, "invalid_request", "{overrides:?} is in bounds");
+            }
+            assert_eq!((stats.batches, stats.queries), (1, 3), "{overrides:?}");
+        } else {
+            for err in [single.unwrap_err(), batch.unwrap_err()] {
+                assert_eq!(err.code(), "invalid_request", "{overrides:?}: {err}");
+                assert!(err.to_string().contains("must be in"), "{err}");
+            }
+            assert_eq!(
+                (stats.batches, stats.queries, stats.executed_groups),
+                (0, 0, 0),
+                "{overrides:?} rejected before any pipeline work"
+            );
+        }
+    }
 }

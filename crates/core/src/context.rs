@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Candidate filtering policy applied before the top-k cut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum TypeFilter {
     /// Candidates must share a (transitive) type ancestor with every
     /// query node.

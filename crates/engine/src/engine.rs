@@ -1,23 +1,36 @@
 //! [`QueryEngine`] — the batched, cache-sharing execution layer.
 //!
 //! One engine owns one graph backend and one pipeline configuration, and
-//! answers any number of queries through three exact caches:
+//! answers any number of queries — under that configuration or under
+//! per-request [`Overrides`] — through one cached path and three exact
+//! caches. Each cache is keyed on the seed list plus exactly the
+//! settings its layer reads:
 //!
-//! - a **PPR cache** keyed by personalization seed node (the RandomWalk
-//!   selector runs one Personalized PageRank per seed node; distinct
-//!   queries sharing a seed share the vector), bounded by entries *and*
-//!   approximate bytes;
-//! - a **context cache** keyed by the query's seed list — repeated seeds
-//!   skip context selection (PathMining walks or power iterations)
+//! - a **PPR cache** keyed by (personalization seed node, ε) — the
+//!   RandomWalk selector runs one Personalized PageRank per seed node,
+//!   and ε is the only overridable setting PageRank reads, so queries
+//!   sharing a seed share the vector whatever their |C| or type filter;
+//!   bounded by entries *and* approximate bytes;
+//! - a **context cache** keyed by (seed list, pipeline key). The
+//!   pipeline key holds the effective selector, |C| and type filter,
+//!   plus the walk budget under ContextRW or ε under RandomWalk — only
+//!   fields the effective selector reads, so an override equal to the
+//!   engine's own setting shares the plain request's entries. Repeated
+//!   keys skip context selection (PathMining walks or power iterations)
 //!   entirely;
-//! - a **result cache** keyed the same way — exact repeats skip the
-//!   whole pipeline.
+//! - a **result cache** keyed the same way (scoring reads no
+//!   overridable setting) — exact repeats skip the whole pipeline.
 //!
 //! All three store values bit-identical to what a fresh sequential
-//! [`FindNc`] run would compute, so engine answers are id-for-id equal to
-//! one-at-a-time [`FindNc::discover`] regardless of batch composition,
-//! cache pressure, or thread count (the workspace's parity tests assert
-//! this on both backends, including under forced eviction).
+//! [`FindNc`] run under the request's settings would compute, so engine
+//! answers are id-for-id equal to one-at-a-time [`FindNc::discover`]
+//! regardless of batch composition, overrides, cache pressure, or thread
+//! count (the workspace's parity tests assert this on every backend,
+//! including under forced eviction).
+//!
+//! The Eq.-1 weight table every PageRank reads is derived at most once
+//! per engine: at construction in RandomWalk mode, or on a ContextRW
+//! engine's first `selector: RandomWalk` override.
 //!
 //! The engine is built for **concurrent serving**: each cache is a
 //! lock-striped [`crate::cache::ShardedLru`], so clients
@@ -29,18 +42,19 @@
 //! `*_coalesced` counters so workload reports can show how much
 //! duplicate work concurrency avoided.
 //!
-//! Batches are planned by [`crate::schedule`]: exact repeats are executed
-//! once and fanned back out, distinct queries are clustered around their
-//! hottest shared seed so cache hits land before evictions, and the
-//! backend's per-predicate runs ([`GraphAccess::warm_predicate`]) are
-//! faulted in up front. Groups then execute across worker threads via the
-//! same fork-join helper the pipeline itself uses.
+//! Batches are planned by [`crate::schedule`]: exact repeats (same seed
+//! list, same pipeline key) are executed once and fanned back out,
+//! distinct queries are clustered around their hottest shared seed so
+//! cache hits land before evictions, and the backend's per-predicate
+//! runs ([`GraphAccess::warm_predicate`]) are faulted in up front. Groups
+//! then execute across worker threads via the same fork-join helper the
+//! pipeline itself uses.
 
 use crate::cache::{CacheStats, ShardedLru};
 use crate::flight::SingleFlight;
 use crate::schedule;
-use nck_core::config::{FindNcConfig, RandomWalkConfig};
-use nck_core::context::{top_k_context, CandidateFilter, Context, ContextSelector};
+use nck_core::config::{FindNcConfig, PprConfig, RandomWalkConfig};
+use nck_core::context::{top_k_context, CandidateFilter, Context, ContextSelector, TypeFilter};
 use nck_core::context_rw::ContextRw;
 use nck_core::error::CoreError;
 use nck_core::findnc::{FindNc, SearchResult};
@@ -50,15 +64,15 @@ use nck_core::query::Query;
 use nck_core::score::ScoreVec;
 use nck_core::sweep::ScoringWorkspace;
 use nck_graph::{EdgeLabelId, GraphAccess, NodeId};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which context selector the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum SelectorMode {
     /// The paper's metapath-constrained ContextRW (what
-    /// [`FindNc::discover`] uses); contexts are cached per seed list.
+    /// [`FindNc::discover`] uses).
     #[default]
     ContextRw,
     /// The frequency-weighted Personalized PageRank baseline, served
@@ -76,8 +90,8 @@ pub struct EngineConfig {
     pub findnc: FindNcConfig,
     /// Which context selector to run.
     pub selector: SelectorMode,
-    /// RandomWalk-mode settings (ignored under
-    /// [`SelectorMode::ContextRw`]).
+    /// RandomWalk-mode settings (read under [`SelectorMode::RandomWalk`],
+    /// the engine's own or a request's override).
     pub randomwalk: RandomWalkConfig,
     /// Entry bound of the PPR vector cache.
     pub ppr_cache_entries: usize,
@@ -114,7 +128,7 @@ pub struct EngineConfig {
     /// Seed-lane width of the blocked multi-seed PPR kernel
     /// ([`nck_core::ppr::PersonalizedPageRank::run_block`]) that
     /// [`QueryEngine::run_batch`] runs a batch's distinct seed-cache
-    /// misses through before group execution (RandomWalk mode only).
+    /// misses through before group execution (RandomWalk groups only).
     /// `0` or `1` disables blocking — every miss then runs solo inside
     /// its query. Purely a performance knob: every lane is bit-identical
     /// to its solo run, so results do not depend on the width.
@@ -144,6 +158,78 @@ impl Default for EngineConfig {
     }
 }
 
+/// Per-request pipeline overrides: each set field replaces the engine's
+/// own setting for one request ([`QueryEngine::run_with`],
+/// [`QueryEngine::run_batch_with`], [`QueryEngine::run_stream_with`]).
+///
+/// An overridden request is answered bit for bit as a fresh [`FindNc`]
+/// under the overridden configuration would answer it — RandomWalk
+/// summing its seeds sequentially, as [`SelectorMode::RandomWalk`]
+/// defines — and through the same caches and single-flight path as
+/// every other request. A field the effective selector does not read
+/// (`walks` under RandomWalk, `epsilon` under ContextRW) changes
+/// nothing. Values are not bounded here: an out-of-range one fails the
+/// way the fresh pipeline would (`nck-api` rejects them before they
+/// reach the engine).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Overrides {
+    /// Context size |C|.
+    pub context_size: Option<usize>,
+    /// PathMining walk budget (ContextRW).
+    pub walks: Option<usize>,
+    /// Context selector.
+    pub selector: Option<SelectorMode>,
+    /// Candidate type filter of whichever selector runs.
+    pub type_filter: Option<TypeFilter>,
+    /// Pruning threshold ε of the PageRank (RandomWalk).
+    pub epsilon: Option<f64>,
+}
+
+/// The settings a request's context — and so its result — depends on
+/// beyond its seed list: exactly the fields the effective selector
+/// reads, so requests differing only in a setting that is unread or
+/// equal to the engine's share cache entries. Every other setting
+/// (damping, iterations, metapath settings, α, Monte-Carlo budget) is
+/// the engine's own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Pipeline {
+    ContextRw {
+        context_size: usize,
+        type_filter: TypeFilter,
+        walks: usize,
+    },
+    RandomWalk {
+        context_size: usize,
+        type_filter: TypeFilter,
+        /// [`epsilon_key`] of ε.
+        epsilon: u64,
+    },
+}
+
+impl Pipeline {
+    fn context_size(self) -> usize {
+        match self {
+            Self::ContextRw { context_size, .. } | Self::RandomWalk { context_size, .. } => {
+                context_size
+            }
+        }
+    }
+}
+
+/// The result- and context-cache key: the seed list in query order
+/// ([`schedule::canonical_key`]) and the pipeline key.
+type Key = (Vec<NodeId>, Pipeline);
+
+/// ε as a cache key: its bits, with −0.0 mapped to 0.0 (both run the
+/// exact executor, so they must share entries).
+fn epsilon_key(epsilon: f64) -> u64 {
+    if epsilon == 0.0 {
+        0.0f64.to_bits()
+    } else {
+        epsilon.to_bits()
+    }
+}
+
 /// A snapshot of the engine's cache and dedup counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
@@ -155,10 +241,11 @@ pub struct EngineStats {
     pub executed_groups: u64,
     /// Queries answered by batch-level deduplication alone.
     pub deduplicated: u64,
-    /// Times the Eq.-1 weight table (`O(|E|)`) was derived. Stays at 1
-    /// (RandomWalk mode) or 0 (ContextRw mode) for the engine's whole
-    /// lifetime — the table is built at construction and shared across
-    /// every query and batch, never per query.
+    /// Times the Eq.-1 weight table (`O(|E|)`) was derived: at most 1
+    /// for the engine's whole lifetime. A RandomWalk engine builds it at
+    /// construction; a ContextRw engine on its first `selector:
+    /// RandomWalk` override, if one ever comes. Every query and batch
+    /// then shares it, never deriving it per query.
     pub weight_builds: u64,
     /// Queries answered with another caller's in-flight result: the
     /// caller missed the result cache while a concurrent caller was
@@ -213,17 +300,17 @@ pub struct PredicateStat {
 pub struct QueryEngine<G: GraphAccess + Sync> {
     graph: G,
     config: EngineConfig,
+    /// Scores every request: scoring reads no overridable setting.
     findnc: FindNc,
-    context_rw: ContextRw,
-    /// Built once per engine in RandomWalk mode (weight precomputation is
-    /// `O(|E|)` and identical for every query).
-    ppr: Option<PersonalizedPageRank<G>>,
-    ppr_cache: ShardedLru<NodeId, Arc<ScoreVec>>,
-    context_cache: ShardedLru<Vec<NodeId>, Context>,
-    result_cache: ShardedLru<Vec<NodeId>, Arc<SearchResult>>,
-    ppr_flight: SingleFlight<NodeId, Arc<ScoreVec>>,
-    context_flight: SingleFlight<Vec<NodeId>, Context>,
-    result_flight: SingleFlight<Vec<NodeId>, Arc<SearchResult>>,
+    /// The Eq.-1 weight table every PageRank reads (`O(|E|)` to derive,
+    /// identical for every query and every ε), set at most once.
+    weights: OnceLock<Arc<EdgeWeights>>,
+    ppr_cache: ShardedLru<(NodeId, u64), Arc<ScoreVec>>,
+    context_cache: ShardedLru<Key, Context>,
+    result_cache: ShardedLru<Key, Arc<SearchResult>>,
+    ppr_flight: SingleFlight<(NodeId, u64), Arc<ScoreVec>>,
+    context_flight: SingleFlight<Key, Context>,
+    result_flight: SingleFlight<Key, Arc<SearchResult>>,
     batches: AtomicU64,
     queries: AtomicU64,
     executed_groups: AtomicU64,
@@ -294,35 +381,34 @@ impl WorkspacePool {
 
 impl<G: GraphAccess + Sync> QueryEngine<G> {
     /// Creates an engine over `graph`. Fails if the RandomWalk PageRank
-    /// configuration is invalid (damping out of range, zero iterations).
-    ///
-    /// `G: Clone` because the RandomWalk ranker keeps its own backend
-    /// handle — a no-op copy for `&G` and an `Arc` bump for
-    /// [`nck_graph::ErasedGraph`].
-    pub fn new(graph: G, config: EngineConfig) -> Result<Self, CoreError>
-    where
-        G: Clone,
-    {
-        // The Eq.-1 weight table is derived here, exactly once per
-        // engine; every query (cached or not) shares it through the
-        // ranker. `weight_builds` exposes the count so workload reports
-        // can prove it stays at one.
-        let ppr = match config.selector {
-            SelectorMode::RandomWalk => Some(PersonalizedPageRank::new(
-                graph.clone(),
-                config.randomwalk.ppr.clone(),
-            )?),
-            SelectorMode::ContextRw => None,
+    /// configuration of a RandomWalk engine is invalid (damping out of
+    /// range, zero iterations, ε negative or not finite).
+    pub fn new(graph: G, config: EngineConfig) -> Result<Self, CoreError> {
+        // A RandomWalk engine derives the Eq.-1 weight table here; a
+        // ContextRw engine derives it on its first RandomWalk override.
+        // `weight_builds` exposes the count so workload reports can prove
+        // it never exceeds one.
+        let weights = match config.selector {
+            SelectorMode::RandomWalk => {
+                let table = Arc::new(EdgeWeights::new(&graph));
+                // Validates damping, iterations and ε up front.
+                PersonalizedPageRank::with_weights(
+                    &graph,
+                    config.randomwalk.ppr.clone(),
+                    Arc::clone(&table),
+                )?;
+                OnceLock::from(table)
+            }
+            SelectorMode::ContextRw => OnceLock::new(),
         };
-        let weight_builds = AtomicU64::new(u64::from(ppr.is_some()));
+        let weight_builds = AtomicU64::new(u64::from(weights.get().is_some()));
         if config.threads.is_some() {
             parallel::set_thread_cap(config.threads);
         }
         Ok(Self {
             graph,
             findnc: FindNc::new(config.findnc.clone()),
-            context_rw: ContextRw::new(config.findnc.context.clone()),
-            ppr,
+            weights,
             ppr_cache: ShardedLru::with_max_bytes(
                 config.cache_shards,
                 config.ppr_cache_entries,
@@ -347,10 +433,7 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
     }
 
     /// Creates an engine with the default configuration.
-    pub fn with_defaults(graph: G) -> Self
-    where
-        G: Clone,
-    {
+    pub fn with_defaults(graph: G) -> Self {
         Self::new(graph, EngineConfig::default()).expect("default configuration is valid")
     }
 
@@ -370,31 +453,78 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
     /// RandomWalk selector (RandomWalk mode) under the same
     /// configuration.
     pub fn run(&self, query: &Query) -> Result<Arc<SearchResult>, CoreError> {
+        self.run_with(query, &Overrides::default())
+    }
+
+    /// [`run`](Self::run) under per-request `overrides`: the same caches
+    /// and single-flight path, keyed on the settings the request
+    /// actually runs under (see [`Overrides`]).
+    pub fn run_with(
+        &self,
+        query: &Query,
+        overrides: &Overrides,
+    ) -> Result<Arc<SearchResult>, CoreError> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.run_planned(query)
+        self.run_planned(query, &self.key(query, overrides))
+    }
+
+    /// The pipeline key of a request under `overrides`.
+    fn pipeline(&self, overrides: &Overrides) -> Pipeline {
+        let config = &self.config;
+        let context_size = overrides.context_size.unwrap_or(config.findnc.context_size);
+        match overrides.selector.unwrap_or(config.selector) {
+            SelectorMode::ContextRw => Pipeline::ContextRw {
+                context_size,
+                type_filter: overrides
+                    .type_filter
+                    .unwrap_or(config.findnc.context.type_filter),
+                walks: overrides
+                    .walks
+                    .unwrap_or(config.findnc.context.mining.walks),
+            },
+            SelectorMode::RandomWalk => Pipeline::RandomWalk {
+                context_size,
+                type_filter: overrides
+                    .type_filter
+                    .unwrap_or(config.randomwalk.type_filter),
+                epsilon: epsilon_key(overrides.epsilon.unwrap_or(config.randomwalk.ppr.epsilon)),
+            },
+        }
+    }
+
+    fn key(&self, query: &Query, overrides: &Overrides) -> Key {
+        (schedule::canonical_key(query), self.pipeline(overrides))
     }
 
     /// `run` minus the submitted-query accounting (batch members are
     /// counted once by [`run_batch`](Self::run_batch)).
     ///
     /// Cache misses run under single-flight: concurrent misses on the
-    /// same seed-list key coalesce onto one computation and every
-    /// caller receives the same `Arc`. All cached values are exact, so
-    /// coalescing never changes what a caller gets back.
-    fn run_planned(&self, query: &Query) -> Result<Arc<SearchResult>, CoreError> {
-        let key = schedule::canonical_key(query);
-        if let Some(hit) = self.result_cache.get(&key) {
+    /// same key coalesce onto one computation and every caller receives
+    /// the same `Arc`. All cached values are exact, so coalescing never
+    /// changes what a caller gets back.
+    fn run_planned(&self, query: &Query, key: &Key) -> Result<Arc<SearchResult>, CoreError> {
+        if let Some(hit) = self.result_cache.get(key) {
             return Ok(hit);
         }
         self.result_flight.execute(key.clone(), || {
             // A previous leader may have finished between our miss and
             // this flight's start; its insert serves us without a
             // recomputation (peek: the miss was already counted above).
-            if let Some(hit) = self.result_cache.peek(&key) {
+            if let Some(hit) = self.result_cache.peek(key) {
                 return Ok(hit);
             }
             self.executed_groups.fetch_add(1, Ordering::Relaxed);
-            let context = self.context_for(query, &key)?;
+            let context = self.context_for(query, key)?;
+            // The shared `FindNc` reads |C| only to report an empty
+            // context; report the request's own, as a fresh pipeline
+            // under the request's settings would.
+            if context.is_empty() {
+                return Err(CoreError::NotEnoughCandidates {
+                    requested: key.1.context_size(),
+                    available: 0,
+                });
+            }
             // Pooled sweep scratch: the scoring stage of repeated cold
             // queries recycles its per-label maps and count rows.
             let mut ws = self.ppr_workspaces.checkout_scoring();
@@ -412,25 +542,54 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
 
     /// The query's context, via the context cache; misses coalesce
     /// under single-flight like [`run_planned`](Self::run_planned)'s.
-    fn context_for(&self, query: &Query, key: &[NodeId]) -> Result<Context, CoreError> {
-        let key = key.to_vec();
-        if let Some(hit) = self.context_cache.get(&key) {
+    /// A miss builds its selector from the pipeline key — both
+    /// constructors are cheap — with every other setting the engine's.
+    fn context_for(&self, query: &Query, key: &Key) -> Result<Context, CoreError> {
+        if let Some(hit) = self.context_cache.get(key) {
             return Ok(hit);
         }
         self.context_flight.execute(key.clone(), || {
-            if let Some(hit) = self.context_cache.peek(&key) {
+            if let Some(hit) = self.context_cache.peek(key) {
                 return Ok(hit);
             }
-            let context = match self.config.selector {
-                SelectorMode::ContextRw => {
-                    self.context_rw
-                        .select(&self.graph, query, self.config.findnc.context_size)?
+            let context = match key.1 {
+                Pipeline::ContextRw {
+                    context_size,
+                    type_filter,
+                    walks,
+                } => {
+                    let mut config = self.config.findnc.context.clone();
+                    config.mining.walks = walks;
+                    config.type_filter = type_filter;
+                    ContextRw::new(config).select(&self.graph, query, context_size)?
                 }
-                SelectorMode::RandomWalk => self.randomwalk_context(query)?,
+                Pipeline::RandomWalk {
+                    context_size,
+                    type_filter,
+                    epsilon,
+                } => self.randomwalk_context(query, context_size, type_filter, epsilon)?,
             };
             self.context_cache.insert(key.clone(), context.clone());
             Ok(context)
         })
+    }
+
+    /// The Eq.-1 weight table, derived on first use.
+    fn weights(&self) -> Arc<EdgeWeights> {
+        Arc::clone(self.weights.get_or_init(|| {
+            self.weight_builds.fetch_add(1, Ordering::Relaxed);
+            Arc::new(EdgeWeights::new(&self.graph))
+        }))
+    }
+
+    /// The PageRank ranker at ε (an [`epsilon_key`]) over the shared
+    /// weight table, every other setting the engine's. No graph pass.
+    fn ranker(&self, epsilon: u64) -> Result<PersonalizedPageRank<&G>, CoreError> {
+        let config = PprConfig {
+            epsilon: f64::from_bits(epsilon),
+            ..self.config.randomwalk.ppr.clone()
+        };
+        PersonalizedPageRank::with_weights(&self.graph, config, self.weights())
     }
 
     /// RandomWalk-baseline selection through the PPR cache: one cached
@@ -439,8 +598,14 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
     /// [`ScoreVec::add_assign`] adds each touched slot in ascending node
     /// order, exactly one addition per slot, so sparse accumulation is
     /// bit-identical to the dense loop it replaced).
-    fn randomwalk_context(&self, query: &Query) -> Result<Context, CoreError> {
-        let ppr = self.ppr.as_ref().expect("built in RandomWalk mode");
+    fn randomwalk_context(
+        &self,
+        query: &Query,
+        context_size: usize,
+        type_filter: TypeFilter,
+        epsilon: u64,
+    ) -> Result<Context, CoreError> {
+        let ppr = self.ranker(epsilon)?;
         let mut acc = ScoreVec::zeros(self.graph.num_nodes());
         // One pooled workspace per query, shared by every cache miss
         // below — with ε > 0, all seeds compute allocation-free in
@@ -448,44 +613,40 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         // per seed, exactly as the pre-sparse engine did).
         let mut ws = self.ppr_workspaces.checkout_solo();
         for &seed in query.nodes() {
-            let v = self.ppr_vector(seed, ppr, &mut ws);
+            let v = self.ppr_vector(seed, epsilon, &ppr, &mut ws);
             acc.add_assign(&v);
         }
         self.ppr_workspaces.put_solo(ws);
-        let filter = CandidateFilter::new(&self.graph, query, self.config.randomwalk.type_filter);
-        top_k_context(
-            &self.graph,
-            query,
-            acc.iter(),
-            &filter,
-            self.config.findnc.context_size,
-        )
+        let filter = CandidateFilter::new(&self.graph, query, type_filter);
+        top_k_context(&self.graph, query, acc.iter(), &filter, context_size)
     }
 
-    /// The PageRank vector personalized on `seed`, via the PPR cache.
-    /// Cached entries are charged their actual representation cost
-    /// ([`ScoreVec::approx_bytes`]), so sparse vectors no longer pay the
-    /// dense `8·|V|` estimate and the byte budget holds many more of
-    /// them. Concurrent misses on the same seed coalesce: one caller
+    /// The PageRank vector personalized on `seed` at ε, via the PPR
+    /// cache. Cached entries are charged their actual representation
+    /// cost ([`ScoreVec::approx_bytes`]), so sparse vectors no longer pay
+    /// the dense `8·|V|` estimate and the byte budget holds many more of
+    /// them. Concurrent misses on the same key coalesce: one caller
     /// computes, the rest receive the same `Arc` (identical vectors
     /// either way — coalescing only saves the duplicate work).
     fn ppr_vector(
         &self,
         seed: NodeId,
-        ppr: &PersonalizedPageRank<G>,
+        epsilon: u64,
+        ppr: &PersonalizedPageRank<&G>,
         ws: &mut PprWorkspace,
     ) -> Arc<ScoreVec> {
-        if let Some(hit) = self.ppr_cache.get(&seed) {
+        let key = (seed, epsilon);
+        if let Some(hit) = self.ppr_cache.get(&key) {
             return hit;
         }
         let flown: Result<Arc<ScoreVec>, std::convert::Infallible> =
-            self.ppr_flight.execute(seed, || {
-                if let Some(hit) = self.ppr_cache.peek(&seed) {
+            self.ppr_flight.execute(key, || {
+                if let Some(hit) = self.ppr_cache.peek(&key) {
                     return Ok(hit);
                 }
                 let v = Arc::new(ppr.run_with(&[seed], ws));
                 self.ppr_cache
-                    .insert_with_cost(seed, Arc::clone(&v), v.approx_bytes());
+                    .insert_with_cost(key, Arc::clone(&v), v.approx_bytes());
                 Ok(v)
             });
         match flown {
@@ -494,33 +655,56 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         }
     }
 
-    /// The engine's shared Eq.-1 weight table (`Some` in RandomWalk
-    /// mode). Callers running a sequential baseline against the same
-    /// graph reuse it instead of re-deriving `O(|E|)` weights per query.
+    /// The engine's shared Eq.-1 weight table, once it exists: from
+    /// construction in RandomWalk mode, from the first `selector:
+    /// RandomWalk` override in ContextRw mode. Callers running a
+    /// sequential baseline against the same graph reuse it instead of
+    /// re-deriving `O(|E|)` weights per query.
     pub fn edge_weights(&self) -> Option<Arc<EdgeWeights>> {
-        self.ppr.as_ref().map(|p| Arc::clone(p.weights()))
+        self.weights.get().cloned()
     }
 
     /// Executes a batch: plans it (dedup + seed clustering), warms the
     /// backend's predicate runs, prefills the PPR cache through the
-    /// blocked multi-seed kernel (RandomWalk mode, see
+    /// blocked multi-seed kernel (RandomWalk groups, see
     /// [`EngineConfig::ppr_block_width`]), runs the distinct groups
     /// across worker threads, and fans results back out to input order.
     /// `results[i]` answers `queries[i]`; the first failing group (in
     /// plan order) aborts the batch with its error.
     pub fn run_batch(&self, queries: &[Query]) -> Result<Vec<Arc<SearchResult>>, CoreError> {
+        let none = Overrides::default();
+        let keys = queries.iter().map(|q| self.key(q, &none)).collect();
+        self.execute_batch(queries.iter().collect(), keys)
+    }
+
+    /// [`run_batch`](Self::run_batch) with per-request overrides.
+    /// Requests group by their full key — seed list and pipeline key —
+    /// so plain and overridden requests mix freely in one batch.
+    pub fn run_batch_with(
+        &self,
+        requests: &[(Query, Overrides)],
+    ) -> Result<Vec<Arc<SearchResult>>, CoreError> {
+        let keys = requests.iter().map(|(q, o)| self.key(q, o)).collect();
+        self.execute_batch(requests.iter().map(|(q, _)| q).collect(), keys)
+    }
+
+    fn execute_batch(
+        &self,
+        queries: Vec<&Query>,
+        keys: Vec<Key>,
+    ) -> Result<Vec<Arc<SearchResult>>, CoreError> {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.queries
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let plan = schedule::plan(queries);
+        let plan = schedule::plan(&keys);
         self.deduplicated
             .fetch_add(plan.deduplicated() as u64, Ordering::Relaxed);
         if self.config.warm_predicates {
-            self.warm_batch_predicates(&plan, queries);
+            self.warm_batch_predicates(&plan, &keys);
         }
         let width = self.config.ppr_block_width;
         if width > 1 {
-            self.prefill_ppr_blocks(&plan, queries, width);
+            self.prefill_ppr_blocks(&plan, &keys, width);
         }
         let groups = &plan.groups;
         // Chunk order is preserved by the fold, so per-group results come
@@ -530,7 +714,10 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             self.config.parallel && groups.len() > 1,
             |_chunk, range| {
                 range
-                    .map(|gi| (gi, self.run_planned(&queries[groups[gi].representative])))
+                    .map(|gi| {
+                        let rep = groups[gi].representative;
+                        (gi, self.run_planned(queries[rep], &keys[rep]))
+                    })
                     .collect::<Vec<_>>()
             },
             Vec::new(),
@@ -562,28 +749,45 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
     where
         I: IntoIterator<Item = Query>,
     {
+        self.run_stream_with(
+            queries.into_iter().map(|q| (q, Overrides::default())),
+            batch_size,
+        )
+    }
+
+    /// [`run_stream`](Self::run_stream) with per-request overrides, each
+    /// chunk a [`run_batch_with`](Self::run_batch_with).
+    pub fn run_stream_with<I>(
+        &self,
+        requests: I,
+        batch_size: usize,
+    ) -> Result<Vec<Arc<SearchResult>>, CoreError>
+    where
+        I: IntoIterator<Item = (Query, Overrides)>,
+    {
         let batch_size = batch_size.max(1);
         let mut out = Vec::new();
-        let mut buf: Vec<Query> = Vec::with_capacity(batch_size);
-        for q in queries {
-            buf.push(q);
+        let mut buf: Vec<(Query, Overrides)> = Vec::with_capacity(batch_size);
+        for request in requests {
+            buf.push(request);
             if buf.len() == batch_size {
-                out.extend(self.run_batch(&buf)?);
+                out.extend(self.run_batch_with(&buf)?);
                 buf.clear();
             }
         }
         if !buf.is_empty() {
-            out.extend(self.run_batch(&buf)?);
+            out.extend(self.run_batch_with(&buf)?);
         }
         Ok(out)
     }
 
-    /// Gathers the batch's **distinct seed-cache misses** into blocks of
+    /// Gathers the batch's **distinct seed-cache misses**, separately
+    /// for each ε its RandomWalk groups run under, into blocks of
     /// `width` lanes, runs the blocked multi-seed kernel once per block
-    /// (whole blocks fan across workers), and fills the seed-keyed PPR
-    /// cache with the per-lane `Arc<ScoreVec>`s — so when the groups
-    /// execute, their `ppr_vector` calls hit instead of sweeping the
-    /// graph once per seed. A no-op outside RandomWalk mode.
+    /// (whole blocks fan across workers), and fills the PPR cache with
+    /// the per-lane `Arc<ScoreVec>`s — so when the groups execute, their
+    /// `ppr_vector` calls hit instead of sweeping the graph once per
+    /// seed. A no-op for batches without RandomWalk groups.
     ///
     /// Every lane is bit-identical to the solo run the miss path would
     /// have performed (the kernel's contract), so prefilled answers are
@@ -593,35 +797,53 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
     /// cache probe uses `peek` (uncounted): prefilled seeds surface as
     /// ordinary hits later, and `ppr_lanes_filled` accounts the blocked
     /// computations.
-    fn prefill_ppr_blocks(&self, plan: &schedule::BatchPlan, queries: &[Query], width: usize) {
-        let Some(ppr) = self.ppr.as_ref() else { return };
-        let mut seeds: BTreeSet<NodeId> = BTreeSet::new();
+    fn prefill_ppr_blocks(&self, plan: &schedule::BatchPlan, keys: &[Key], width: usize) {
+        let mut seeds: BTreeMap<u64, BTreeSet<NodeId>> = BTreeMap::new();
         for group in &plan.groups {
-            seeds.extend(queries[group.representative].nodes());
+            let (query_seeds, pipeline) = &keys[group.representative];
+            if let Pipeline::RandomWalk { epsilon, .. } = *pipeline {
+                seeds.entry(epsilon).or_default().extend(query_seeds);
+            }
         }
-        let misses: Vec<NodeId> = seeds
-            .into_iter()
-            .filter(|s| self.ppr_cache.peek(s).is_none())
-            .collect();
-        if misses.len() < 2 {
+        let mut rankers = Vec::new();
+        for (epsilon, seeds) in seeds {
+            let misses: Vec<NodeId> = seeds
+                .into_iter()
+                .filter(|&s| self.ppr_cache.peek(&(s, epsilon)).is_none())
+                .collect();
             // Nothing to amortize: a lone miss runs solo in its group.
+            // An invalid ε fails there too, with the pipeline's error.
+            if misses.len() < 2 {
+                continue;
+            }
+            if let Ok(ppr) = self.ranker(epsilon) {
+                rankers.push((epsilon, ppr, misses));
+            }
+        }
+        let blocks: Vec<(usize, &[NodeId])> = rankers
+            .iter()
+            .enumerate()
+            .flat_map(|(r, (_, _, misses))| misses.chunks(width).map(move |b| (r, b)))
+            .collect();
+        if blocks.is_empty() {
             return;
         }
-        let blocks: Vec<&[NodeId]> = misses.chunks(width).collect();
-        let filled: Vec<(NodeId, Arc<ScoreVec>)> = parallel::map_chunks(
+        let filled: Vec<((NodeId, u64), Arc<ScoreVec>)> = parallel::map_chunks(
             blocks.len(),
             self.config.parallel && blocks.len() > 1,
             |_chunk, range| {
                 // One pooled workspace per chunk, reused across its
                 // blocks; returned before the fold.
                 let mut ws = self.ppr_workspaces.checkout_block();
-                let mut out: Vec<(NodeId, Arc<ScoreVec>)> = Vec::new();
+                let mut out: Vec<((NodeId, u64), Arc<ScoreVec>)> = Vec::new();
                 for bi in range {
-                    let lanes = ppr.run_block(blocks[bi], &mut ws);
+                    let (r, block) = blocks[bi];
+                    let (epsilon, ppr, _) = &rankers[r];
+                    let lanes = ppr.run_block(block, &mut ws);
                     out.extend(
-                        blocks[bi]
+                        block
                             .iter()
-                            .copied()
+                            .map(|&seed| (seed, *epsilon))
                             .zip(lanes.into_iter().map(|o| Arc::new(o.scores))),
                     );
                 }
@@ -638,9 +860,9 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             .fetch_add(blocks.len() as u64, Ordering::Relaxed);
         self.ppr_lanes_filled
             .fetch_add(filled.len() as u64, Ordering::Relaxed);
-        for (seed, v) in filled {
+        for (key, v) in filled {
             let cost = v.approx_bytes();
-            self.ppr_cache.insert_with_cost(seed, v, cost);
+            self.ppr_cache.insert_with_cost(key, v, cost);
         }
     }
 
@@ -648,10 +870,10 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
     /// batch's seed nodes into the backend's cache (the engine-side half
     /// of the cache shared with `StoreGraph`'s lazy run cache; a no-op on
     /// fully materialized backends).
-    fn warm_batch_predicates(&self, plan: &schedule::BatchPlan, queries: &[Query]) {
+    fn warm_batch_predicates(&self, plan: &schedule::BatchPlan, keys: &[Key]) {
         let mut seeds: BTreeSet<NodeId> = BTreeSet::new();
         for group in &plan.groups {
-            seeds.extend(queries[group.representative].nodes());
+            seeds.extend(&keys[group.representative].0);
         }
         let mut labels: BTreeSet<EdgeLabelId> = BTreeSet::new();
         for &seed in &seeds {
@@ -972,6 +1194,126 @@ mod tests {
         // A warm repeat prefills nothing: every seed peeks as cached.
         blocked.run_batch(&queries).unwrap();
         assert_eq!(blocked.stats().ppr_lanes_filled, 16);
+    }
+
+    fn randomwalk_config() -> EngineConfig {
+        EngineConfig {
+            selector: SelectorMode::RandomWalk,
+            randomwalk: RandomWalkConfig {
+                ppr: PprConfig {
+                    damping: 0.2,
+                    iterations: 10,
+                    parallel: false,
+                    epsilon: 0.0,
+                },
+                type_filter: TypeFilter::None,
+            },
+            ..fast_config()
+        }
+    }
+
+    /// The pipeline key holds only what the effective selector reads, so
+    /// an override equal to the engine's own setting — or one the
+    /// selector ignores, or ε = −0.0 against ε = 0 — shares the plain
+    /// request's entries.
+    #[test]
+    fn overrides_equal_to_the_engine_share_its_entries() {
+        let g = leaders();
+        let q = Query::by_names(&g, ["Merkel", "Obama"]).unwrap();
+        let crw = QueryEngine::new(&g, fast_config()).unwrap();
+        let plain = crw.run(&q).unwrap();
+        for same in [
+            Overrides {
+                context_size: Some(20),
+                ..Overrides::default()
+            },
+            Overrides {
+                selector: Some(SelectorMode::ContextRw),
+                walks: Some(4_000),
+                epsilon: Some(0.5),
+                ..Overrides::default()
+            },
+        ] {
+            assert!(Arc::ptr_eq(&plain, &crw.run_with(&q, &same).unwrap()));
+        }
+        assert_eq!(crw.stats().executed_groups, 1);
+
+        let rw = QueryEngine::new(&g, randomwalk_config()).unwrap();
+        let plain = rw.run(&q).unwrap();
+        let negative_zero = Overrides {
+            epsilon: Some(-0.0),
+            walks: Some(7),
+            ..Overrides::default()
+        };
+        assert!(Arc::ptr_eq(
+            &plain,
+            &rw.run_with(&q, &negative_zero).unwrap()
+        ));
+        assert_eq!(rw.stats().executed_groups, 1);
+    }
+
+    /// Batches group by the full key: the same seeds under two settings
+    /// are two groups, and each answer equals its single run.
+    #[test]
+    fn batches_group_by_seed_list_and_pipeline_key() {
+        let g = leaders();
+        let q = Query::by_names(&g, ["Merkel", "Obama"]).unwrap();
+        let small = Overrides {
+            context_size: Some(5),
+            ..Overrides::default()
+        };
+        let batch = vec![
+            (q.clone(), Overrides::default()),
+            (q.clone(), small),
+            (q.clone(), Overrides::default()),
+        ];
+        let engine = QueryEngine::new(&g, fast_config()).unwrap();
+        let results = engine.run_batch_with(&batch).unwrap();
+        assert!(Arc::ptr_eq(&results[0], &results[2]));
+        assert_eq!(results[0].context.len(), 20);
+        assert_eq!(results[1].context.len(), 5);
+        let s = engine.stats();
+        assert_eq!((s.executed_groups, s.deduplicated), (2, 1));
+        let single = QueryEngine::new(&g, fast_config()).unwrap();
+        let alone = single.run_with(&q, &small).unwrap();
+        assert_eq!(alone.context.ranked(), results[1].context.ranked());
+    }
+
+    /// Blocked prefill gathers misses per ε: two ε values over the same
+    /// seeds fill two sets of lanes, each bit-equal to its solo run.
+    #[test]
+    fn blocked_prefill_gathers_misses_per_epsilon() {
+        let g = leaders();
+        let queries: Vec<Query> = (0..2)
+            .map(|i| {
+                Query::by_names(&g, [format!("leader{i}"), format!("leader{}", i + 2)]).unwrap()
+            })
+            .collect();
+        let sparse = Overrides {
+            epsilon: Some(1e-3),
+            ..Overrides::default()
+        };
+        let batch: Vec<(Query, Overrides)> = queries
+            .iter()
+            .flat_map(|q| [(q.clone(), Overrides::default()), (q.clone(), sparse)])
+            .collect();
+        let blocked = QueryEngine::new(&g, randomwalk_config()).unwrap();
+        let results = blocked.run_batch_with(&batch).unwrap();
+        let s = blocked.stats();
+        assert_eq!(s.ppr_lanes_filled, 8, "4 seeds at each of 2 ε");
+        assert_eq!(s.ppr.misses, 0, "group execution hits the prefill");
+        let solo = QueryEngine::new(
+            &g,
+            EngineConfig {
+                ppr_block_width: 1,
+                ..randomwalk_config()
+            },
+        )
+        .unwrap();
+        for ((q, o), r) in batch.iter().zip(&results) {
+            let want = solo.run_with(q, o).unwrap();
+            assert_eq!(want.context.ranked(), r.context.ranked());
+        }
     }
 
     #[test]

@@ -3,15 +3,18 @@
 //! The algorithm crates answer one query at a time; this crate is the
 //! serving layer above them. A [`QueryEngine`] owns a graph backend and a
 //! pipeline configuration and executes *workloads* — batches or streams
-//! of [`Query`](nck_core::query::Query) values — deduplicating and
+//! of [`Query`](nck_core::query::Query) values, each under the engine's
+//! settings or under per-request [`Overrides`] — deduplicating and
 //! amortizing the work that public-KB traffic repeats constantly:
 //!
 //! - **[`cache`]** — deterministic, memory-bounded LRU caching with
 //!   O(1)-amortized eviction, used for PPR vectors (keyed by
-//!   personalization seed node), selected contexts and full search
-//!   results; under the engine each cache is a lock-striped
-//!   [`ShardedLru`] so concurrent clients touching different keys never
-//!   serialize on one global lock;
+//!   personalization seed node and ε), selected contexts and full search
+//!   results (keyed by seed list and the settings context selection
+//!   reads: selector, |C|, type filter, and walk budget or ε); under
+//!   the engine each cache is a lock-striped [`ShardedLru`] so
+//!   concurrent clients touching different keys never serialize on one
+//!   global lock;
 //! - **[`flight`]** — single-flight computation: concurrent misses on
 //!   the same key coalesce onto one execution and every caller receives
 //!   the same `Arc` (exact values make this observationally invisible);
@@ -20,13 +23,15 @@
 //!   hottest shared seed so cache hits land before evictions;
 //! - **[`engine`]** — [`QueryEngine`] itself: plans, warms the backend's
 //!   per-predicate runs ([`GraphAccess::warm_predicate`]), executes
-//!   groups across worker threads, and fans results back out.
+//!   groups across worker threads, and fans results back out. It derives
+//!   the Eq.-1 weight table at most once: at construction in RandomWalk
+//!   mode, else on the first `selector: RandomWalk` override.
 //!
 //! Every cache stores exact values, so engine output is **id-for-id
-//! identical** to running [`FindNc::discover`] sequentially — the
-//! speedup comes purely from not recomputing shared work. The `nck` CLI,
-//! the criterion benches and the evaluation harness all drive their
-//! workloads through this layer.
+//! identical** to running [`FindNc::discover`] sequentially under the
+//! request's settings — the speedup comes purely from not recomputing
+//! shared work. The `nck` CLI, the criterion benches and the evaluation
+//! harness all drive their workloads through this layer.
 //!
 //! ```
 //! use nck_core::config::{FindNcConfig, PathMiningConfig};
@@ -73,6 +78,6 @@ pub mod flight;
 pub mod schedule;
 
 pub use cache::{CacheStats, LruCache, ShardedLru};
-pub use engine::{EngineConfig, EngineStats, PredicateStat, QueryEngine, SelectorMode};
+pub use engine::{EngineConfig, EngineStats, Overrides, PredicateStat, QueryEngine, SelectorMode};
 pub use flight::SingleFlight;
 pub use schedule::{canonical_key, plan, BatchPlan, QueryGroup};

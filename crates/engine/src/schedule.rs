@@ -1,5 +1,5 @@
-//! Deterministic batch planning: dedup identical queries, then order the
-//! distinct ones so overlapping seed sets run close together.
+//! Deterministic batch planning: dedup identical requests, then order
+//! the distinct ones so overlapping seed sets run close together.
 //!
 //! Public-KB workloads are dominated by repeated seeds (the same handful
 //! of entities queried again and again), so a batch usually contains
@@ -9,12 +9,13 @@
 //! The plan therefore clusters distinct queries around their hottest
 //! shared seed: queries anchored on the most frequent seed run first and
 //! adjacently, then the next-hottest anchor, and so on. Ordering uses
-//! only batch-local seed frequencies and node ids, so a given batch
-//! always produces the same plan.
+//! only batch-local seed frequencies, node ids and batch positions, so a
+//! given batch always produces the same plan.
 
 use nck_core::query::Query;
 use nck_graph::NodeId;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// One distinct query of a batch and the batch positions it answers.
 #[derive(Debug, Clone)]
@@ -43,12 +44,13 @@ impl BatchPlan {
     }
 }
 
-/// The cache/dedup key of a query: its seed list **in input order**.
+/// The seed-list half of a query's cache/dedup key: its seed list **in
+/// input order**.
 ///
 /// Order is deliberately preserved rather than sorted: the σ scoring of
 /// ContextRW and the PageRank summation of the RandomWalk baseline both
-/// accumulate per-seed `f64` contributions in `query.nodes()` order, and
-/// floating-point addition is not associative — collapsing `[A, B, C]`
+/// accumulate per-seed `f64` contributions in `query.nodes()` order,
+/// and floating-point addition is not associative — collapsing `[A, B, C]`
 /// with `[C, B, A]` could change results in the last ulp and break the
 /// engine's bit-exact parity with sequential execution. Seed-permuted
 /// duplicates therefore stay distinct work units (they still share the
@@ -57,35 +59,34 @@ pub fn canonical_key(query: &Query) -> Vec<NodeId> {
     query.nodes().to_vec()
 }
 
-/// Plans a batch: dedups exact repeats by [`canonical_key`], then orders
-/// the distinct groups by `(descending batch frequency of the group's
-/// hottest seed, ascending hottest-seed id, ascending key)` — a
+/// Plans a batch given each request's key — its [`canonical_key`] plus
+/// the settings `P` it runs under (the engine passes its pipeline key).
+/// Exact key repeats collapse into one group; the distinct groups are
+/// ordered by `(descending batch frequency of the group's hottest seed,
+/// ascending hottest-seed id, ascending seed list, first position)` — a
 /// deterministic clustering that keeps seed-sharing queries adjacent.
-pub fn plan(queries: &[Query]) -> BatchPlan {
-    let mut by_key: HashMap<Vec<NodeId>, QueryGroup> = HashMap::new();
-    let mut key_order: Vec<Vec<NodeId>> = Vec::new();
-    for (i, q) in queries.iter().enumerate() {
-        let key = canonical_key(q);
-        match by_key.get_mut(&key) {
-            Some(g) => g.positions.push(i),
+pub fn plan<P: Eq + Hash>(keys: &[(Vec<NodeId>, P)]) -> BatchPlan {
+    let mut index: HashMap<&(Vec<NodeId>, P), usize> = HashMap::new();
+    let mut groups: Vec<QueryGroup> = Vec::new();
+    for (i, key) in keys.iter().enumerate() {
+        match index.get(key) {
+            Some(&g) => groups[g].positions.push(i),
             None => {
-                by_key.insert(
-                    key.clone(),
-                    QueryGroup {
-                        representative: i,
-                        positions: vec![i],
-                    },
-                );
-                key_order.push(key);
+                index.insert(key, groups.len());
+                groups.push(QueryGroup {
+                    representative: i,
+                    positions: vec![i],
+                });
             }
         }
     }
 
     // Batch-local seed frequency over *distinct* groups (duplicates
     // would otherwise dominate the anchors without adding sharing).
+    let seeds = |g: &QueryGroup| keys[g.representative].0.as_slice();
     let mut seed_freq: HashMap<NodeId, usize> = HashMap::new();
-    for key in &key_order {
-        for &n in key {
+    for group in &groups {
+        for &n in seeds(group) {
             *seed_freq.entry(n).or_insert(0) += 1;
         }
     }
@@ -96,22 +97,19 @@ pub fn plan(queries: &[Query]) -> BatchPlan {
             .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
             .expect("queries are never empty")
     };
-    key_order.sort_by(|a, b| {
-        let (fa, na) = anchor(a);
-        let (fb, nb) = anchor(b);
-        fb.cmp(&fa).then(na.cmp(&nb)).then(a.cmp(b))
+    // Stable: groups with equal seed lists (distinct settings) keep
+    // their first-position order.
+    groups.sort_by(|a, b| {
+        let (ka, kb) = (seeds(a), seeds(b));
+        let (fa, na) = anchor(ka);
+        let (fb, nb) = anchor(kb);
+        fb.cmp(&fa).then(na.cmp(&nb)).then(ka.cmp(kb))
     });
-
-    let groups = key_order
-        .into_iter()
-        .map(|key| by_key.remove(&key).expect("every key has a group"))
-        .collect();
     BatchPlan {
         groups,
-        len: queries.len(),
+        len: keys.len(),
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +127,11 @@ mod tests {
         Query::by_names(g, names).unwrap()
     }
 
+    /// Keys under one shared setting, as a batch without overrides has.
+    fn keys(batch: &[Query]) -> Vec<(Vec<NodeId>, ())> {
+        batch.iter().map(|q| (canonical_key(q), ())).collect()
+    }
+
     #[test]
     fn exact_duplicates_collapse_to_one_group() {
         let g = chain(8);
@@ -138,7 +141,7 @@ mod tests {
             q(&g, &["n0", "n1"]),
             q(&g, &["n2", "n3"]),
         ];
-        let p = plan(&batch);
+        let p = plan(&keys(&batch));
         assert_eq!(p.len, 4);
         assert_eq!(p.groups.len(), 2);
         assert_eq!(p.deduplicated(), 2);
@@ -156,9 +159,24 @@ mod tests {
         // work unit as [n0, n1] — see `canonical_key`.
         let g = chain(8);
         let batch = vec![q(&g, &["n0", "n1"]), q(&g, &["n1", "n0"])];
-        let p = plan(&batch);
+        let p = plan(&keys(&batch));
         assert_eq!(p.groups.len(), 2);
         assert_eq!(p.deduplicated(), 0);
+    }
+
+    #[test]
+    fn same_seeds_under_different_settings_stay_distinct() {
+        let g = chain(8);
+        let seeds = canonical_key(&q(&g, &["n0", "n1"]));
+        let batch = vec![
+            (seeds.clone(), 30),
+            (seeds.clone(), 100),
+            (seeds.clone(), 30),
+        ];
+        let p = plan(&batch);
+        assert_eq!(p.groups.len(), 2);
+        assert_eq!(p.groups[0].positions, vec![0, 2]);
+        assert_eq!(p.groups[1].positions, vec![1], "first-position order");
     }
 
     #[test]
@@ -171,7 +189,7 @@ mod tests {
             q(&g, &["n0", "n2"]),
             q(&g, &["n0", "n3"]),
         ];
-        let p = plan(&batch);
+        let p = plan(&keys(&batch));
         // The three n0-anchored groups run first, adjacently.
         let first_three: Vec<usize> = p.groups[..3].iter().map(|g| g.representative).collect();
         assert_eq!(first_three, vec![1, 2, 3]);
@@ -184,8 +202,8 @@ mod tests {
         let batch: Vec<Query> = (0..9)
             .map(|i| q(&g, &[&format!("n{}", i % 4), &format!("n{}", 4 + i % 3)]))
             .collect();
-        let p1 = plan(&batch);
-        let p2 = plan(&batch);
+        let p1 = plan(&keys(&batch));
+        let p2 = plan(&keys(&batch));
         let reps = |p: &BatchPlan| {
             p.groups
                 .iter()
@@ -200,7 +218,7 @@ mod tests {
 
     #[test]
     fn empty_batch_plans_empty() {
-        let p = plan(&[]);
+        let p = plan::<()>(&[]);
         assert!(p.groups.is_empty());
         assert_eq!(p.len, 0);
         assert_eq!(p.deduplicated(), 0);

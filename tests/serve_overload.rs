@@ -225,11 +225,23 @@ fn requests_arriving_during_drain_are_shed_typed() {
     // error (readers keep polling ~25 ms, so there is a short window
     // where the frame is still read).
     let handle = slow_server(1, 8);
-    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+    let addr = handle.addr();
+    let mut client = ServeClient::connect(addr).expect("connect");
     let a = client.send(&probe()).expect("send A");
 
     std::thread::sleep(std::time::Duration::from_millis(20));
     let drainer = std::thread::spawn(move || handle.shutdown());
+    // Send the late request only once the drain has begun: the listener
+    // is dropped after the drain flag is set and the queue is closed, so
+    // a refused fresh connection proves both.
+    let started = std::time::Instant::now();
+    while std::net::TcpStream::connect(addr).is_ok() {
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "the drain did not close the listener within 5 s"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     // Race one more request into the drain window.
     let late = client.send(&probe());
 
