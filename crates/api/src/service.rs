@@ -9,13 +9,13 @@ use nck_core::error::CoreError;
 use nck_core::findnc::{FindNc, SearchResult};
 use nck_core::ppr::RandomWalkSelector;
 use nck_core::query::Query;
-use nck_engine::{EngineConfig, EngineStats, Overrides, QueryEngine, SelectorMode};
+use nck_engine::{Encoded, EngineConfig, EngineStats, Overrides, QueryEngine, SelectorMode};
 use nck_graph::io::load_compact;
 use nck_graph::{CompactGraph, ErasedGraph, GraphAccess, GraphError, KnowledgeGraph};
 use nck_store::graph_view::to_knowledge_graph;
 use nck_store::ntriples::read_ntriples;
 use nck_store::{StoreGraph, TripleStore};
-use serde::{Deserialize, Serialize};
+use serde::{json, Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -402,6 +402,27 @@ impl NckService {
         Ok(response)
     }
 
+    /// [`query`](Self::query)'s answer as JSON text: byte for byte what
+    /// `json::to_string` prints for the response `query` returns, with
+    /// this call's own `secs`. It resolves and validates exactly as
+    /// `query` does and fails with the same errors.
+    ///
+    /// The context names and each characteristic are encoded once per
+    /// result-cache entry and stored with it
+    /// ([`QueryEngine::run_encoded`]); every later call for the entry
+    /// copies them and encodes only its query echo, `context_size` and
+    /// `secs`, keeping the first `top` characteristics. This is the
+    /// served path: `nck-serve` writes the text into its answer frame.
+    pub fn query_json(&self, request: &QueryRequest) -> Result<String, ApiError> {
+        let query = self.resolve(request)?;
+        let overrides = self.pipeline_overrides(request)?;
+        let started = Instant::now();
+        let (result, encoded) = self
+            .engine
+            .run_encoded(&query, &overrides, |result| self.encode(result))?;
+        Ok(splice(request, &result, &encoded, started))
+    }
+
     /// Answers a batch through the engine's batch planner (dedup + seed
     /// clustering + shared caches). Plain and overridden requests mix
     /// freely: they group by seed list and the settings they run under.
@@ -735,29 +756,50 @@ impl NckService {
         (findnc, selector)
     }
 
+    /// `result` in wire form: its context's entity names, in rank order,
+    /// and every scored label as a [`Characteristic`]. The one field
+    /// mapping both [`response_for`](Self::response_for) and
+    /// [`encode`](Self::encode) use.
+    fn wire_parts<'a>(
+        &'a self,
+        result: &'a SearchResult,
+    ) -> (Vec<String>, impl Iterator<Item = Characteristic> + 'a) {
+        let context = result
+            .context
+            .nodes()
+            .map(|n| self.graph.node_name(n).to_owned())
+            .collect();
+        let characteristics = result.characteristics.iter().map(|c| Characteristic {
+            label: self.graph.label_name(c.label).to_owned(),
+            score: c.score,
+            notable: c.notable(),
+            inst_p: c.inst_significance,
+            card_p: c.card_significance,
+        });
+        (context, characteristics)
+    }
+
     fn response_for(&self, request: &QueryRequest, result: &SearchResult) -> QueryResponse {
-        let top = request.top.unwrap_or(usize::MAX);
+        let (context, characteristics) = self.wire_parts(result);
         QueryResponse {
             query: request.display(),
             context_size: result.context.len(),
-            context: result
-                .context
-                .nodes()
-                .map(|n| self.graph.node_name(n).to_owned())
-                .collect(),
-            characteristics: result
-                .characteristics
-                .iter()
-                .take(top)
-                .map(|c| Characteristic {
-                    label: self.graph.label_name(c.label).to_owned(),
-                    score: c.score,
-                    notable: c.notable(),
-                    inst_p: c.inst_significance,
-                    card_p: c.card_significance,
-                })
+            context,
+            characteristics: characteristics
+                .take(request.top.unwrap_or(usize::MAX))
                 .collect(),
             secs: None,
+        }
+    }
+
+    /// The JSON of `result`'s context and of each of its
+    /// characteristics, for [`splice`]: the generic encoder's text for
+    /// each, so escaping and float formatting match it by construction.
+    fn encode(&self, result: &SearchResult) -> Encoded {
+        let (context, characteristics) = self.wire_parts(result);
+        Encoded {
+            context: json::to_string(&context),
+            characteristics: characteristics.map(|c| json::to_string(&c)).collect(),
         }
     }
 
@@ -772,6 +814,49 @@ impl NckService {
             .map(|(request, result)| self.response_for(request, result))
             .collect()
     }
+}
+
+/// The JSON of the [`QueryResponse`] that answers `request` with
+/// `result`, spliced from `result`'s stored `encoded` form: the query
+/// echo, `context_size`, the context, the first `top` characteristics
+/// and `secs` — the wall time since `started`, read just before it is
+/// written — in `QueryResponse`'s field order. Only the echo,
+/// `context_size` and `secs` are encoded here, each with the generic
+/// encoder.
+fn splice(
+    request: &QueryRequest,
+    result: &SearchResult,
+    encoded: &Encoded,
+    started: Instant,
+) -> String {
+    let query = json::to_string(&request.display());
+    let pieces = encoded
+        .characteristics
+        .iter()
+        .take(request.top.unwrap_or(usize::MAX));
+    // The pieces, plus the field names and the two numbers.
+    let len = query.len()
+        + encoded.context.len()
+        + pieces.clone().map(|p| p.len() + 1).sum::<usize>()
+        + 128;
+    let mut out = String::with_capacity(len);
+    out.push_str("{\"query\":");
+    out.push_str(&query);
+    out.push_str(",\"context_size\":");
+    out.push_str(&json::to_string(&result.context.len()));
+    out.push_str(",\"context\":");
+    out.push_str(&encoded.context);
+    out.push_str(",\"characteristics\":[");
+    for (i, piece) in pieces.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(piece);
+    }
+    out.push_str("],\"secs\":");
+    out.push_str(&json::to_string(&started.elapsed().as_secs_f64()));
+    out.push('}');
+    out
 }
 
 /// Exact ranking equality: same context order, same labels, same scores
@@ -807,4 +892,81 @@ pub fn rankings_equal(a: &SearchResult, b: &SearchResult) -> bool {
                     && f64_eq(x.score, y.score)
                     && opt_eq(x.significance, y.significance)
             })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nck_core::context::Context;
+    use nck_core::discrimination::Trigger;
+    use nck_core::distributions::LabelDistributions;
+    use nck_core::findnc::NotableCharacteristic;
+    use nck_graph::GraphBuilder;
+
+    /// The number after the last `"secs":` of a spliced answer.
+    fn secs_of(text: &str) -> f64 {
+        let (_, tail) = text.rsplit_once("\"secs\":").expect("an answer with secs");
+        tail.strip_suffix('}')
+            .and_then(|n| n.parse().ok())
+            .expect("secs is the last field")
+    }
+
+    /// Every float and absent significance prints as the generic encoder
+    /// prints it, under every `top` cut.
+    #[test]
+    fn splice_matches_the_generic_encoder_on_float_edge_cases() {
+        let floats = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+            1e-300,
+            2.0,
+        ];
+        let mut b = GraphBuilder::new();
+        for i in 0..floats.len() {
+            b.add_triple("A", &format!("l{i}"), "B");
+        }
+        let service = NckService::builder()
+            .knowledge_graph(b.build())
+            .build()
+            .unwrap();
+        let graph = service.graph();
+        let query = Query::by_names(graph, ["A"]).unwrap();
+        let context = Context::from_names(graph, ["B"]).unwrap();
+        let characteristics = floats
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let label = graph.labels().get(&format!("l{i}")).unwrap();
+                NotableCharacteristic {
+                    label,
+                    score: x,
+                    significance: Some(x),
+                    trigger: Trigger::Instance,
+                    inst_significance: (i % 2 == 0).then_some(x),
+                    card_significance: (i % 3 != 0).then_some(-x),
+                    distributions: LabelDistributions::build(graph, &query, &context, label),
+                }
+            })
+            .collect();
+        let result = SearchResult {
+            characteristics,
+            context,
+        };
+        let encoded = service.encode(&result);
+        for top in [None, Some(0), Some(3), Some(floats.len() + 1)] {
+            let request = QueryRequest {
+                top,
+                ..QueryRequest::entities(["A"])
+            };
+            let text = splice(&request, &result, &encoded, Instant::now());
+            let want = QueryResponse {
+                secs: Some(secs_of(&text)),
+                ..service.response_for(&request, &result)
+            };
+            assert_eq!(text, json::to_string(&want), "top {top:?}");
+        }
+    }
 }

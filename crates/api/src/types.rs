@@ -162,7 +162,14 @@ pub struct QueryResponse {
     /// request's `top`.
     pub characteristics: Vec<Characteristic>,
     /// Wall-clock seconds spent answering (set on single-query calls;
-    /// workload members report timing at the report level instead).
+    /// workload members report timing at the report level instead),
+    /// from after the request is resolved and validated. Under
+    /// `NckService::query` it covers the engine call and building this
+    /// response. On the served path (`NckService::query_json`, which
+    /// `nck-serve` answers through) it covers the engine call, the
+    /// result's one-time encoding if this request made it, and splicing
+    /// the answer up to this field; decode, queueing and the frame write
+    /// are outside it.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub secs: Option<f64>,
 }

@@ -19,7 +19,12 @@
 //!   keys skip context selection (PathMining walks or power iterations)
 //!   entirely;
 //! - a **result cache** keyed the same way (scoring reads no
-//!   overridable setting) — exact repeats skip the whole pipeline.
+//!   overridable setting) — exact repeats skip the whole pipeline. Each
+//!   entry also has a write-once slot for a caller's [`Encoded`] form of
+//!   the result ([`QueryEngine::run_encoded`]): the first caller to ask
+//!   encodes, later hits reuse the stored encoding, and it is dropped
+//!   with its entry on eviction or [`QueryEngine::clear_caches`]. The
+//!   engine stores it and never reads it.
 //!
 //! All three store values bit-identical to what a fresh sequential
 //! [`FindNc`] run under the request's settings would compute, so engine
@@ -230,8 +235,29 @@ fn epsilon_key(epsilon: f64) -> u64 {
     }
 }
 
+/// A caller's encoding of one cached result — in `nck-api`, the JSON of
+/// the context names and of each characteristic — kept with the
+/// result-cache entry so repeats can reuse it (see
+/// [`QueryEngine::run_encoded`]). The engine stores it and never reads
+/// it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Encoded {
+    /// The encoded context.
+    pub context: String,
+    /// One encoded piece per characteristic, in ranking order.
+    pub characteristics: Vec<String>,
+}
+
+/// One result-cache (and result-flight) value: the exact result plus a
+/// write-once slot for its [`Encoded`] form, which lives and dies with
+/// the entry.
+struct Entry {
+    result: Arc<SearchResult>,
+    encoded: OnceLock<Arc<Encoded>>,
+}
+
 /// A snapshot of the engine's cache and dedup counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Batches executed so far.
     pub batches: u64,
@@ -307,10 +333,10 @@ pub struct QueryEngine<G: GraphAccess + Sync> {
     weights: OnceLock<Arc<EdgeWeights>>,
     ppr_cache: ShardedLru<(NodeId, u64), Arc<ScoreVec>>,
     context_cache: ShardedLru<Key, Context>,
-    result_cache: ShardedLru<Key, Arc<SearchResult>>,
+    result_cache: ShardedLru<Key, Arc<Entry>>,
     ppr_flight: SingleFlight<(NodeId, u64), Arc<ScoreVec>>,
     context_flight: SingleFlight<Key, Context>,
-    result_flight: SingleFlight<Key, Arc<SearchResult>>,
+    result_flight: SingleFlight<Key, Arc<Entry>>,
     batches: AtomicU64,
     queries: AtomicU64,
     executed_groups: AtomicU64,
@@ -465,7 +491,29 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         overrides: &Overrides,
     ) -> Result<Arc<SearchResult>, CoreError> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.run_planned(query, &self.key(query, overrides))
+        let entry = self.run_planned(query, &self.key(query, overrides))?;
+        Ok(Arc::clone(&entry.result))
+    }
+
+    /// [`run_with`](Self::run_with), also returning the result's
+    /// [`Encoded`] form, stored with its result-cache entry. The first
+    /// call for an entry runs `encode` on the result — concurrent
+    /// callers of that entry wait for it and share its output — and
+    /// every later call returns the same `Arc` without encoding. Counted,
+    /// cached and coalesced exactly as `run_with` is. Once the entry is
+    /// evicted, the next call for its key computes and encodes afresh.
+    pub fn run_encoded(
+        &self,
+        query: &Query,
+        overrides: &Overrides,
+        encode: impl FnOnce(&SearchResult) -> Encoded,
+    ) -> Result<(Arc<SearchResult>, Arc<Encoded>), CoreError> {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        let entry = self.run_planned(query, &self.key(query, overrides))?;
+        let encoded = entry
+            .encoded
+            .get_or_init(|| Arc::new(encode(&entry.result)));
+        Ok((Arc::clone(&entry.result), Arc::clone(encoded)))
     }
 
     /// The pipeline key of a request under `overrides`.
@@ -503,7 +551,7 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
     /// same key coalesce onto one computation and every caller receives
     /// the same `Arc`. All cached values are exact, so coalescing never
     /// changes what a caller gets back.
-    fn run_planned(&self, query: &Query, key: &Key) -> Result<Arc<SearchResult>, CoreError> {
+    fn run_planned(&self, query: &Query, key: &Key) -> Result<Arc<Entry>, CoreError> {
         if let Some(hit) = self.result_cache.get(key) {
             return Ok(hit);
         }
@@ -532,11 +580,14 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
                 self.findnc
                     .discover_with_context_ws(&self.graph, query, &context, &mut ws);
             self.ppr_workspaces.put_scoring(ws);
-            let result = Arc::new(scored?);
+            let entry = Arc::new(Entry {
+                result: Arc::new(scored?),
+                encoded: OnceLock::new(),
+            });
             self.labels_scored
-                .fetch_add(result.characteristics.len() as u64, Ordering::Relaxed);
-            self.result_cache.insert(key.clone(), Arc::clone(&result));
-            Ok(result)
+                .fetch_add(entry.result.characteristics.len() as u64, Ordering::Relaxed);
+            self.result_cache.insert(key.clone(), Arc::clone(&entry));
+            Ok(entry)
         })
     }
 
@@ -709,7 +760,7 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         let groups = &plan.groups;
         // Chunk order is preserved by the fold, so per-group results come
         // back sorted by group index and error selection is deterministic.
-        let per_group: Vec<(usize, Result<Arc<SearchResult>, CoreError>)> = parallel::map_chunks(
+        let per_group: Vec<(usize, Result<Arc<Entry>, CoreError>)> = parallel::map_chunks(
             groups.len(),
             self.config.parallel && groups.len() > 1,
             |_chunk, range| {
@@ -727,10 +778,10 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             },
         );
         let mut out: Vec<Option<Arc<SearchResult>>> = vec![None; queries.len()];
-        for (gi, result) in per_group {
-            let result = result?;
+        for (gi, entry) in per_group {
+            let entry = entry?;
             for &pos in &groups[gi].positions {
-                out[pos] = Some(Arc::clone(&result));
+                out[pos] = Some(Arc::clone(&entry.result));
             }
         }
         Ok(out
@@ -922,10 +973,11 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         }
     }
 
-    /// Drops every cached PPR vector, context and result. Engine-level
-    /// counters (batches, queries, executed groups, coalesced) keep
-    /// accumulating; the per-cache hit/miss counters restart with the
-    /// fresh caches. Useful for cold-cache measurements.
+    /// Drops every cached PPR vector, context and result, with each
+    /// result's stored encoding. Engine-level counters (batches, queries,
+    /// executed groups, coalesced) keep accumulating; the per-cache
+    /// hit/miss counters restart with the fresh caches. Useful for
+    /// cold-cache measurements.
     pub fn clear_caches(&self) {
         self.ppr_cache.clear();
         self.context_cache.clear();
@@ -1440,6 +1492,109 @@ mod tests {
         let total: f64 = stats.iter().map(|s| s.frequency).sum();
         // Forward labels carry half the stored (closed) edge mass.
         assert!((total - 0.5).abs() < 1e-9, "forward frequency sum {total}");
+    }
+
+    /// A stand-in encoding: the characteristic count, plus a call count.
+    fn counting_encode(
+        calls: &std::cell::Cell<usize>,
+    ) -> impl FnOnce(&SearchResult) -> Encoded + '_ {
+        move |result| {
+            calls.set(calls.get() + 1);
+            Encoded {
+                context: result.context.len().to_string(),
+                characteristics: vec![result.characteristics.len().to_string()],
+            }
+        }
+    }
+
+    /// Repeats of one key encode once and all share the stored `Arc`.
+    #[test]
+    fn repeats_encode_once_and_share_the_encoding() {
+        let g = leaders();
+        let q = Query::by_names(&g, ["Merkel", "Obama"]).unwrap();
+        let engine = QueryEngine::new(&g, fast_config()).unwrap();
+        let calls = std::cell::Cell::new(0);
+        let none = Overrides::default();
+        let (first_result, first) = engine
+            .run_encoded(&q, &none, counting_encode(&calls))
+            .unwrap();
+        for _ in 1..100 {
+            let (result, encoded) = engine
+                .run_encoded(&q, &none, counting_encode(&calls))
+                .unwrap();
+            assert!(Arc::ptr_eq(&first, &encoded));
+            assert!(Arc::ptr_eq(&first_result, &result));
+        }
+        assert_eq!(calls.get(), 1, "encode runs once per entry");
+        assert!(Arc::ptr_eq(&first_result, &engine.run(&q).unwrap()));
+    }
+
+    /// The encoding lives and dies with its result-cache entry.
+    #[test]
+    fn eviction_drops_the_encoding_and_the_next_request_encodes_again() {
+        let g = leaders();
+        let first = Query::by_names(&g, ["Merkel", "Obama"]).unwrap();
+        let second = Query::by_names(&g, ["leader0", "leader1"]).unwrap();
+        let engine = QueryEngine::new(
+            &g,
+            EngineConfig {
+                result_cache_entries: 1,
+                ..fast_config()
+            },
+        )
+        .unwrap();
+        let calls = std::cell::Cell::new(0);
+        let none = Overrides::default();
+        let (_, encoded) = engine
+            .run_encoded(&first, &none, counting_encode(&calls))
+            .unwrap();
+        let weak = Arc::downgrade(&encoded);
+        drop(encoded);
+        assert!(weak.upgrade().is_some(), "the cache entry holds it");
+        engine
+            .run_encoded(&second, &none, counting_encode(&calls))
+            .unwrap();
+        assert_eq!(engine.stats().result.evictions, 1);
+        assert!(weak.upgrade().is_none(), "evicted with its entry");
+        engine
+            .run_encoded(&first, &none, counting_encode(&calls))
+            .unwrap();
+        assert_eq!(calls.get(), 3, "the evicted key encodes again");
+    }
+
+    /// `run_encoded` is counted, cached and coalesced as `run_with` is.
+    #[test]
+    fn run_encoded_leaves_the_stats_run_with_leaves() {
+        let g = leaders();
+        let q1 = Query::by_names(&g, ["Merkel", "Obama"]).unwrap();
+        let q2 = Query::by_names(&g, ["leader0", "leader1"]).unwrap();
+        let small = Overrides {
+            context_size: Some(5),
+            ..Overrides::default()
+        };
+        let none = Overrides::default();
+        let sequence = [
+            (&q1, none),
+            (&q2, none),
+            (&q1, small),
+            (&q1, none),
+            (&q2, none),
+        ];
+        let config = EngineConfig {
+            result_cache_entries: 2,
+            ..fast_config()
+        };
+        let plain = QueryEngine::new(&g, config.clone()).unwrap();
+        let encoding = QueryEngine::new(&g, config).unwrap();
+        let calls = std::cell::Cell::new(0);
+        for (q, o) in sequence {
+            plain.run_with(q, &o).unwrap();
+            encoding
+                .run_encoded(q, &o, counting_encode(&calls))
+                .unwrap();
+        }
+        assert_eq!(plain.stats(), encoding.stats());
+        assert!(plain.stats().result.evictions > 0, "the sequence evicts");
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!   O(1)-amortized eviction, used for PPR vectors (keyed by
 //!   personalization seed node and ε), selected contexts and full search
 //!   results (keyed by seed list and the settings context selection
-//!   reads: selector, |C|, type filter, and walk budget or ε); under
-//!   the engine each cache is a lock-striped [`ShardedLru`] so
-//!   concurrent clients touching different keys never serialize on one
-//!   global lock;
+//!   reads: selector, |C|, type filter, and walk budget or ε); each
+//!   cached result also keeps the caller's [`Encoded`] form of it once
+//!   one is asked for; under the engine each cache is a lock-striped
+//!   [`ShardedLru`] so concurrent clients touching different keys never
+//!   serialize on one global lock;
 //! - **[`flight`]** — single-flight computation: concurrent misses on
 //!   the same key coalesce onto one execution and every caller receives
 //!   the same `Arc` (exact values make this observationally invisible);
@@ -78,6 +79,8 @@ pub mod flight;
 pub mod schedule;
 
 pub use cache::{CacheStats, LruCache, ShardedLru};
-pub use engine::{EngineConfig, EngineStats, Overrides, PredicateStat, QueryEngine, SelectorMode};
+pub use engine::{
+    Encoded, EngineConfig, EngineStats, Overrides, PredicateStat, QueryEngine, SelectorMode,
+};
 pub use flight::SingleFlight;
 pub use schedule::{canonical_key, plan, BatchPlan, QueryGroup};

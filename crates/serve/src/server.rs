@@ -9,7 +9,7 @@
 //!                        │            │ full → overloaded          │
 //!                        │            │ draining → overloaded      │ deadline check
 //!                        │                                         ▼
-//!                        │                              NckService::query
+//!                        │                         NckService::query_json
 //!                        │                                         │
 //!  response frame ◄──────┴───────────── per-connection writer ◄────┘
 //! ```
@@ -23,6 +23,13 @@
 //! age out while queued) and re-checking it again after execution: an
 //! answer the client's deadline already expired on is reported as
 //! `deadline_exceeded`, not as a stale success.
+//!
+//! A success is answered without rebuilding the response:
+//! [`NckService::query_json`] splices the answer from JSON stored with
+//! its result-cache entry (encoded by the entry's first request), and
+//! [`wire::ok_payload`] wraps it in the envelope — the same bytes
+//! [`WireResponse::ok`] would encode. Error frames go through
+//! [`WireResponse::err`].
 //!
 //! Shutdown is a drain, not an abort: [`ServerHandle::shutdown`] stops
 //! the accept loop, closes admission (late arrivals are shed as
@@ -174,11 +181,15 @@ impl Shared {
         self.draining.load(Ordering::Acquire)
     }
 
-    /// Writes one response frame; counts it. Write failures mean the
-    /// client is gone — the response is dropped on the floor by design.
+    /// Writes one response frame; counts it.
     fn respond(&self, conn: &Connection, response: WireResponse) {
-        let is_err = response.err.is_some();
-        let payload = response.to_payload();
+        self.write(conn, &response.to_payload(), response.err.is_some());
+    }
+
+    /// Writes one encoded response frame; counts it as an error frame
+    /// or an answer. Write failures mean the client is gone — the
+    /// response is dropped on the floor by design.
+    fn write(&self, conn: &Connection, payload: &[u8], is_err: bool) {
         // Poison recovery: a worker that panicked mid-write at worst
         // left a torn frame on *this* connection's stream (the client
         // sees a protocol error and reconnects); propagating the
@@ -190,7 +201,7 @@ impl Shared {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         // Responses are server-built and trusted; they are not subject
         // to the request-frame limit.
-        if frame::write_frame(&mut *writer, &payload, u32::MAX as usize).is_ok() {
+        if frame::write_frame(&mut *writer, payload, u32::MAX as usize).is_ok() {
             if is_err {
                 self.counters.responses_err.fetch_add(1, Ordering::Relaxed);
             } else {
@@ -208,30 +219,32 @@ impl Shared {
             };
         let expired = |deadline: Option<Instant>| deadline.is_some_and(|d| Instant::now() > d);
 
-        let response = if expired(job.deadline) {
+        let answer = if expired(job.deadline) {
             // Aged out in the queue; never executed.
             self.counters
                 .deadline_misses
                 .fetch_add(1, Ordering::Relaxed);
-            WireResponse::err(job.id, &deadline_err(job.received, job.deadline_ms))
+            Err(deadline_err(job.received, job.deadline_ms))
         } else {
             if self.config.handler_delay_ms > 0 {
                 std::thread::sleep(Duration::from_millis(self.config.handler_delay_ms));
             }
-            match self.service.query(&job.query) {
+            match self.service.query_json(&job.query) {
                 _ if expired(job.deadline) => {
                     // Finished, but past the deadline: the client has
                     // already given up on this answer.
                     self.counters
                         .deadline_misses
                         .fetch_add(1, Ordering::Relaxed);
-                    WireResponse::err(job.id, &deadline_err(job.received, job.deadline_ms))
+                    Err(deadline_err(job.received, job.deadline_ms))
                 }
-                Ok(ok) => WireResponse::ok(job.id, ok),
-                Err(e) => WireResponse::err(job.id, &e),
+                answer => answer,
             }
         };
-        self.respond(&job.conn, response);
+        match answer {
+            Ok(json) => self.write(&job.conn, &wire::ok_payload(job.id, &json), false),
+            Err(e) => self.respond(&job.conn, WireResponse::err(job.id, &e)),
+        }
         job.conn.pending.fetch_sub(1, Ordering::AcqRel);
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
     }

@@ -70,6 +70,22 @@ impl WireResponse {
     }
 }
 
+/// The payload of a success frame whose answer is already JSON text
+/// ([`NckService::query_json`](nck_api::NckService::query_json)):
+/// `{"id":<id>,"ok":<answer>}`, the same bytes as
+/// `WireResponse::ok(id, answer).to_payload()` for the decoded answer
+/// ([`WireResponse::ok`], [`WireResponse::to_payload`]).
+pub fn ok_payload(id: u64, answer: &str) -> Vec<u8> {
+    let id = json::to_string(&id);
+    let mut out = Vec::with_capacity(id.len() + answer.len() + 14);
+    out.extend_from_slice(b"{\"id\":");
+    out.extend_from_slice(id.as_bytes());
+    out.extend_from_slice(b",\"ok\":");
+    out.extend_from_slice(answer.as_bytes());
+    out.push(b'}');
+    out
+}
+
 /// Rejects map keys outside `allowed`.
 fn check_keys(value: &Value, what: &str, allowed: &[&str]) -> Result<(), ApiError> {
     let entries = value
@@ -123,6 +139,7 @@ pub fn decode_response(payload: &[u8]) -> Result<WireResponse, ApiError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nck_api::Characteristic;
 
     fn request(id: u64) -> WireRequest {
         WireRequest {
@@ -176,6 +193,30 @@ mod tests {
             decode_request(&[0xff, 0xfe]).unwrap_err().code(),
             "protocol"
         );
+    }
+
+    /// The spliced success frame is the generic envelope's bytes.
+    #[test]
+    fn ok_payload_matches_the_generic_envelope() {
+        let answer = QueryResponse {
+            query: "A,\"B\"".into(),
+            context_size: 1,
+            context: vec!["C\\n".into()],
+            characteristics: vec![Characteristic {
+                label: "l".into(),
+                score: 2.0,
+                notable: true,
+                inst_p: Some(1e-300),
+                card_p: None,
+            }],
+            secs: Some(0.25),
+        };
+        for id in [0, 7, u64::MAX] {
+            assert_eq!(
+                ok_payload(id, &json::to_string(&answer)),
+                WireResponse::ok(id, answer.clone()).to_payload()
+            );
+        }
     }
 
     #[test]

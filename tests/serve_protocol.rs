@@ -219,6 +219,73 @@ fn oversize_payload_gets_typed_error_and_the_connection_survives() {
     handle.shutdown();
 }
 
+/// A served answer's payload is, byte for byte, the generic envelope
+/// `WireResponse::ok(id, answer).to_payload()` around the in-process
+/// answer carrying the frame's own `secs` — for the request that encodes
+/// the cached answer and for the repeats that splice it.
+#[test]
+fn served_answer_bytes_equal_the_generic_envelope() {
+    use notable_characteristics::core::config::PathMiningConfig;
+    use notable_characteristics::core::context::TypeFilter;
+    use notable_characteristics::engine::EngineConfig;
+    use notable_characteristics::serve::WireResponse;
+
+    let mut b = GraphBuilder::new();
+    b.add_triple("Merkel", "memberOf", "G20");
+    b.add_triple("Obama \"44\"", "memberOf", "G20");
+    b.add_triple("Obama \"44\"", "hasChild", "Malia");
+    for i in 0..20 {
+        let leader = format!("leader{i} é");
+        b.add_triple(&leader, "memberOf", "G20");
+        b.add_triple(&leader, "hasChild", &format!("child{i}"));
+        b.add_triple(&leader, "studied", ["Law", "Math"][i % 2]);
+    }
+    let mut config = EngineConfig::default();
+    config.findnc.context.mining = PathMiningConfig {
+        walks: 2_000,
+        ..PathMiningConfig::default()
+    };
+    config.findnc.context.type_filter = TypeFilter::None;
+    config.findnc.context_size = 10;
+    let service = Arc::new(
+        NckService::builder()
+            .knowledge_graph(b.build())
+            .engine(config)
+            .build()
+            .expect("service builds"),
+    );
+    let handle =
+        serve(Arc::clone(&service), "127.0.0.1:0", ServeConfig::default()).expect("server binds");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let plain = QueryRequest::entities(["Merkel", "Obama \"44\""]);
+    let mut cut = plain.clone();
+    cut.top = Some(1);
+    cut.label = Some("tag\n\u{1}".into());
+    for (id, query) in [(1, &plain), (u64::MAX, &plain), (0, &cut)] {
+        let request = WireRequest {
+            id,
+            query: query.clone(),
+            deadline_ms: None,
+        };
+        write_raw_frame(&mut stream, json::to_string(&request).as_bytes());
+        let mut prefix = [0u8; 4];
+        stream.read_exact(&mut prefix).expect("prefix");
+        let mut payload = vec![0u8; u32::from_be_bytes(prefix) as usize];
+        stream.read_exact(&mut payload).expect("payload");
+        let text = std::str::from_utf8(&payload).expect("UTF-8 response");
+        let secs = text
+            .rsplit_once("\"secs\":")
+            .and_then(|(_, tail)| tail.strip_suffix("}}"))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("an answer ending in secs: {text}"));
+        let mut answer = service.query(query).expect("in-process answer");
+        assert!(!answer.characteristics.is_empty());
+        answer.secs = Some(secs);
+        assert_eq!(text.as_bytes(), WireResponse::ok(id, answer).to_payload());
+    }
+    handle.shutdown();
+}
+
 /// A name strategy: 1–12 lowercase letters (the vendored proptest has
 /// no regex strategies, so names are built from byte vectors).
 fn name_strategy() -> impl Strategy<Value = String> {
