@@ -527,11 +527,10 @@ impl NckService {
             request.mode,
             WorkloadMode::Sequential | WorkloadMode::Compare
         ) {
-            let compare = request.mode == WorkloadMode::Compare;
             // Pipeline construction happens once, *outside* the timed
             // region — sequential_secs measures query execution, not
             // config cloning.
-            let (findnc, selector) = self.sequential_pipeline(compare);
+            let (findnc, selector) = self.sequential_pipeline();
             let started = Instant::now();
             let mut results = Vec::with_capacity(workload.len());
             for q in &workload {
@@ -723,30 +722,17 @@ impl NckService {
     /// The sequential baseline pipeline (`None` selector = ContextRW via
     /// [`FindNc::discover`]), built once per workload phase.
     ///
-    /// With `bit_exact` (compare mode), RandomWalk summation is forced
-    /// sequential regardless of `ppr.parallel`: the engine's RandomWalk
-    /// answers are *defined* as sequential per-seed summation (its PPR
-    /// cache adds the vectors in seed order), and chunked summation
-    /// associates the f64 additions differently — a multi-seed query
-    /// would trip the bit-exact compare check on correct results.
-    /// Without it (pure sequential mode), the configured pipeline runs
-    /// untouched, so `sequential_secs` measures what the caller asked
-    /// to measure.
-    ///
     /// The selector shares the engine's Eq.-1 weight table: the
     /// sequential loop used to re-derive the `O(|E|)` weights inside
     /// every `select` call, charging the baseline one full edge scan per
     /// query.
-    fn sequential_pipeline(&self, bit_exact: bool) -> (FindNc, Option<RandomWalkSelector>) {
+    fn sequential_pipeline(&self) -> (FindNc, Option<RandomWalkSelector>) {
         let config = self.engine.config();
         let findnc = FindNc::new(config.findnc.clone());
         let selector = match config.selector {
             SelectorMode::ContextRw => None,
             SelectorMode::RandomWalk => {
-                let mut config = config.randomwalk.clone();
-                if bit_exact {
-                    config.ppr.parallel = false;
-                }
+                let config = config.randomwalk.clone();
                 Some(match self.engine.edge_weights() {
                     Some(weights) => RandomWalkSelector::with_weights(config, weights),
                     None => RandomWalkSelector::new(config),

@@ -73,9 +73,9 @@ impl QueryRequest {
 
 /// Per-request pipeline overrides (see [`QueryRequest::overrides`]).
 ///
-/// Every field changes the answer. Performance settings (worker-thread
-/// cap, PPR block width) are operator configuration on the engine and
-/// have no wire field. The service rejects, with a typed
+/// Every field changes the answer. The worker-thread cap, a
+/// performance setting, is operator configuration on the engine and has
+/// no wire field. The service rejects, with a typed
 /// `invalid_request` and before any work, a field the effective selector
 /// does not read and any value out of bounds: `context_size` outside
 /// 1..=|V|, `walks` outside 1..= the engine's configured walk budget,
@@ -282,8 +282,8 @@ pub struct EngineStatsReport {
     #[serde(skip_serializing_if = "Option::is_none")]
     pub ppr_coalesced: Option<u64>,
     /// Blocked multi-seed PPR kernel invocations (batch distinct-miss
-    /// prefill; one run covers up to `ppr_block_width` seeds). Optional
-    /// on the wire so payloads from pre-blocking schemas still parse.
+    /// prefill; one run covers up to 8 seeds). Optional on the wire so
+    /// payloads from pre-blocking schemas still parse.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub ppr_block_runs: Option<u64>,
     /// Seed vectors computed by blocked runs and inserted into the PPR

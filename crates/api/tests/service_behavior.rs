@@ -342,30 +342,32 @@ fn single_client_concurrent_phase_works() {
     assert_eq!(concurrent.stats.result_coalesced, Some(0));
 }
 
-/// `EngineConfig::ppr_block_width` is the operator's setting for the
-/// blocked PPR kernel: a service batch runs its distinct seed misses
-/// through it, and blocked answers match an unblocked service's bit for
-/// bit.
+/// A service batch runs its distinct seed misses through the blocked
+/// PPR kernel, and its answers match per-query answers, which take the
+/// solo executor, bit for bit.
 #[test]
-fn engine_block_width_reaches_service_batches() {
-    let randomwalk = |width: usize| {
-        let mut config = toy_config();
-        config.selector = SelectorMode::RandomWalk;
-        config.randomwalk.type_filter = TypeFilter::None;
-        config.randomwalk.ppr.parallel = false;
-        config.ppr_block_width = width;
-        config
-    };
+fn service_batches_run_the_blocked_kernel() {
+    let mut config = toy_config();
+    config.selector = SelectorMode::RandomWalk;
+    config.randomwalk.type_filter = TypeFilter::None;
+    config.randomwalk.ppr.parallel = false;
     let requests = ["Merkel", "Obama", "leader0", "leader1"].map(|s| QueryRequest::entities([s]));
 
-    let service = toy_service(randomwalk(4));
+    let service = toy_service(config.clone());
     let blocked = service.batch(&requests).unwrap();
     let stats = service.raw_stats();
     assert_eq!((stats.ppr_block_runs, stats.ppr_lanes_filled), (1, 4));
 
-    let unblocked = toy_service(randomwalk(1));
-    let plain = unblocked.batch(&requests).unwrap();
-    assert_eq!(unblocked.raw_stats().ppr_block_runs, 0);
+    let solo = toy_service(config);
+    let plain: Vec<_> = requests
+        .iter()
+        .map(|request| {
+            let mut response = solo.query(request).unwrap();
+            response.secs = None;
+            response
+        })
+        .collect();
+    assert_eq!(solo.raw_stats().ppr_block_runs, 0);
     assert_eq!(blocked, plain, "blocking must be answer-invariant");
 }
 

@@ -9,10 +9,11 @@
 //! already-warm engine (steady-state serving, all result-cache hits);
 //! `sequential_32` is the `FindNc::discover` loop the engine replaces.
 //!
-//! `rw_distinct32_per_seed` vs `rw_distinct32_block_cold` time a cold
-//! RandomWalk batch of 32 distinct seeds — all PPR-cache misses — with
-//! blocking off vs the default `ppr_block_width = 8`, after asserting
-//! the two engines answer identically.
+//! `rw_distinct32_per_seed` vs `rw_distinct32_block_cold` time 32 cold
+//! RandomWalk queries over distinct seeds — all PPR-cache misses —
+//! answered one `QueryEngine::run` each (the solo executor per seed)
+//! vs as one batch (blocked prefill, 8 seeds per block), after
+//! asserting the two answer identically.
 
 #![forbid(unsafe_code)]
 
@@ -20,11 +21,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nck_bench::small_dataset;
 use nck_core::config::{ContextRwConfig, FindNcConfig, PathMiningConfig};
 use nck_core::context::TypeFilter;
-use nck_core::findnc::FindNc;
+use nck_core::findnc::{FindNc, SearchResult};
+use nck_core::parallel;
 use nck_core::query::Query;
 use nck_datagen::DomainId;
 use nck_engine::{EngineConfig, QueryEngine};
 use nck_graph::KnowledgeGraph;
+use std::sync::Arc;
 
 fn workload(graph: &KnowledgeGraph) -> Vec<Query> {
     let d = small_dataset();
@@ -92,41 +95,61 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| engine.run_batch(&queries).unwrap())
     });
 
-    // Cold RandomWalk batch over 32 *distinct* seeds on the quarter-scale
-    // planted graph (the same graph and seeds as `BENCH_ppr.json`'s
-    // `per_seed_loop_32`/`block_cold_32` rows): every query is a
-    // PPR-cache miss, so the batch costs 32 graph sweeps for the
-    // per-seed loop (`ppr_block_width = 1`) vs ⌈32/8⌉ blocked sweeps at
-    // the default width. Scoring is held light (small context, no type
-    // filter) so the row measures the batch's PPR cost inside the full
-    // engine stack rather than label scoring. Responses must agree bit
-    // for bit before any timing — blocking is a performance knob, never
-    // an answer change.
+    // Cold RandomWalk queries over 32 *distinct* seeds on the
+    // quarter-scale planted graph (the same graph and seeds as
+    // `BENCH_ppr.json`'s `per_seed_loop_32`/`block_cold_32` rows): every
+    // query is a PPR-cache miss. Answered one `run` each, spread over
+    // `parallel::thread_count(32)` scoped threads, they cost 32 solo
+    // graph sweeps; as one batch, ⌈32/8⌉ blocked sweeps. Scoring is held
+    // light (small context, no type filter) so the rows measure the PPR
+    // cost inside the full engine stack rather than label scoring.
+    // Answers must agree bit for bit before any timing — blocking is a
+    // performance choice, never an answer change.
     let big = nck_bench::bench_dataset();
     let rw_graph = &big.graph;
     let rw_queries: Vec<Query> = big.domains[1].members[..32]
         .iter()
         .map(|&seed| Query::new(rw_graph, vec![seed]).expect("valid seed"))
         .collect();
-    let rw_config = |width: usize| {
+    let rw_config = || {
         let mut config = EngineConfig {
             selector: nck_engine::SelectorMode::RandomWalk,
-            ppr_block_width: width,
             ..EngineConfig::default()
         };
         config.findnc.context_size = 10;
         config.randomwalk.type_filter = TypeFilter::None;
         config
     };
+    let run_per_seed = |engine: &QueryEngine<&KnowledgeGraph>| -> Vec<Arc<SearchResult>> {
+        let ranges = parallel::split_range(rw_queries.len(), parallel::thread_count(32));
+        std::thread::scope(|s| {
+            let workers: Vec<_> = ranges
+                .into_iter()
+                .map(|range| {
+                    let queries = &rw_queries[range];
+                    s.spawn(move || {
+                        queries
+                            .iter()
+                            .map(|q| engine.run(q).unwrap())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        })
+    };
     {
-        let per_seed = QueryEngine::new(rw_graph, rw_config(1)).unwrap();
-        let blocked = QueryEngine::new(rw_graph, rw_config(8)).unwrap();
-        let want = per_seed.run_batch(&rw_queries).unwrap();
+        let per_seed = QueryEngine::new(rw_graph, rw_config()).unwrap();
+        let blocked = QueryEngine::new(rw_graph, rw_config()).unwrap();
+        let want = run_per_seed(&per_seed);
         let got = blocked.run_batch(&rw_queries).unwrap();
         for (i, (a, b)) in want.iter().zip(&got).enumerate() {
             assert!(
                 nck_api::rankings_equal(a, b),
-                "blocked batch diverged from per-seed batch at query {i}"
+                "blocked batch diverged from per-seed runs at query {i}"
             );
         }
         let stats = blocked.stats();
@@ -135,16 +158,17 @@ fn bench_engine(c: &mut Criterion) {
             (4, 32),
             "the blocked engine must have answered via the block kernel"
         );
+        assert_eq!(per_seed.stats().ppr_block_runs, 0);
     }
     group.bench_function("rw_distinct32_per_seed", |b| {
         b.iter(|| {
-            let engine = QueryEngine::new(rw_graph, rw_config(1)).unwrap();
-            engine.run_batch(&rw_queries).unwrap()
+            let engine = QueryEngine::new(rw_graph, rw_config()).unwrap();
+            run_per_seed(&engine)
         })
     });
     group.bench_function("rw_distinct32_block_cold", |b| {
         b.iter(|| {
-            let engine = QueryEngine::new(rw_graph, rw_config(8)).unwrap();
+            let engine = QueryEngine::new(rw_graph, rw_config()).unwrap();
             engine.run_batch(&rw_queries).unwrap()
         })
     });

@@ -13,6 +13,8 @@
 //! `per_seed_loop_{8,32}` vs `block_cold_{8,32}` measure the blocked
 //! multi-seed kernel against the per-seed loop it amortizes, with
 //! every lane asserted bit-identical to its solo run before timing.
+//! `block_lane1_loop_8` runs the same 8 seeds as one-lane blocks: the
+//! row that keeps the solo frontier executor as the single-seed path.
 
 #![forbid(unsafe_code)]
 
@@ -142,6 +144,16 @@ fn bench_ppr(c: &mut Criterion) {
                 }
             })
         });
+        if width == 8 {
+            group.bench_function("block_lane1_loop_8", |b| {
+                let mut ws = BlockPprWorkspace::new();
+                b.iter(|| {
+                    for &s in seeds {
+                        exact.run_block(&[s], &mut ws);
+                    }
+                })
+            });
+        }
         group.bench_function(format!("block_cold_{width}"), |b| {
             b.iter(|| exact.run_block(seeds, &mut BlockPprWorkspace::new()))
         });

@@ -16,7 +16,8 @@ pub struct PprConfig {
     pub damping: f64,
     /// Power-iteration count (paper: 10).
     pub iterations: usize,
-    /// Run the per-query-node PageRanks on parallel threads.
+    /// Run the per-query-node PageRanks on parallel threads (they are
+    /// summed in seed order either way, so results are identical).
     pub parallel: bool,
     /// Sparse-execution pruning threshold: frontier entries holding less
     /// than this much probability mass are dropped before propagating.

@@ -60,37 +60,6 @@ impl ContextRw {
         frontier
     }
 
-    /// Computes σ for all nodes given mined metapaths.
-    pub fn score<G: GraphAccess>(
-        &self,
-        graph: &G,
-        query: &Query,
-        mined: &MinedMetapaths,
-    ) -> HashMap<NodeId, f64> {
-        let top = mined.top(self.config.num_metapaths);
-        let mut scores: HashMap<NodeId, f64> = HashMap::new();
-        for (metapath, pr) in &top {
-            for &q in query.nodes() {
-                let endpoints = Self::match_metapath(graph, q, metapath);
-                // Denominator: total multiplicity over endpoints outside Q.
-                let denom: f64 = endpoints
-                    .iter()
-                    .filter(|&(n, _)| !query.contains(*n))
-                    .map(|(_, c)| *c)
-                    .sum();
-                if denom <= 0.0 {
-                    continue;
-                }
-                for (n, c) in endpoints {
-                    if !query.contains(n) {
-                        *scores.entry(n).or_insert(0.0) += c / denom * pr;
-                    }
-                }
-            }
-        }
-        scores
-    }
-
     /// Mines metapaths and returns them together with the context —
     /// useful when the caller wants to inspect `M` (Figure 6, Table 3).
     ///
@@ -314,30 +283,21 @@ mod tests {
         let q = Query::by_names(&g, ["q0", "q1"]).unwrap();
         let works_at = g.labels().get("worksAt").unwrap();
         let inv = g.labels().inverse(works_at);
-        // Hand-built mined set with one metapath.
-        let sel = selector(1);
-        let mined = {
-            // Mine for real but with the co-worker path guaranteed present;
-            // easier: construct scores directly through the public API by
-            // scoring with a single-path mined set is not constructible
-            // (fields private), so mine with enough walks.
-            PathMiner::new(PathMiningConfig {
-                walks: 4_000,
-                max_length: 2,
-                seed: 23,
-                parallel: false,
-            })
-            .mine(&g, &q)
-        };
+        let (ctx, mined) = selector(4_000)
+            .select_with_metapaths(&g, &q, g.num_nodes())
+            .unwrap();
         assert!(mined
             .ranked()
             .iter()
             .any(|(m, _)| m.labels() == [works_at, inv]));
-        let scores = sel.score(&g, &q, &mined);
-        let c0 = g.node_by_name("c0").unwrap();
-        let d0 = g.node_by_name("d0").unwrap();
-        let c0_score = scores.get(&c0).copied().unwrap_or(0.0);
-        let d0_score = scores.get(&d0).copied().unwrap_or(0.0);
+        let score = |name: &str| {
+            let node = g.node_by_name(name).unwrap();
+            ctx.ranked()
+                .iter()
+                .find(|&&(n, _)| n == node)
+                .map_or(0.0, |&(_, s)| s)
+        };
+        let (c0_score, d0_score) = (score("c0"), score("d0"));
         assert!(
             c0_score > d0_score,
             "shared-employer colleague must outscore stranger: {c0_score} vs {d0_score}"

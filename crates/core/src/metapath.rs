@@ -81,12 +81,10 @@ pub struct MinedMetapaths {
     /// `(metapath, count)` sorted by count descending (ties: shorter
     /// first, then lexicographic for determinism).
     ranked: Vec<(Metapath, u64)>,
-    total: u64,
 }
 
 impl MinedMetapaths {
     fn from_counts(counts: HashMap<Vec<EdgeLabelId>, u64>) -> Self {
-        let total = counts.values().sum();
         let mut ranked: Vec<(Metapath, u64)> = counts
             .into_iter()
             .map(|(labels, c)| (Metapath::new(labels), c))
@@ -96,7 +94,7 @@ impl MinedMetapaths {
                 .then(a.0.len().cmp(&b.0.len()))
                 .then_with(|| a.0.labels().cmp(b.0.labels()))
         });
-        Self { ranked, total }
+        Self { ranked }
     }
 
     /// Number of distinct metapaths mined.
@@ -109,28 +107,9 @@ impl MinedMetapaths {
         self.ranked.is_empty()
     }
 
-    /// Total number of successful walks (Σ c(m)).
-    pub fn total_count(&self) -> u64 {
-        self.total
-    }
-
     /// The ranked `(metapath, count)` pairs.
     pub fn ranked(&self) -> &[(Metapath, u64)] {
         &self.ranked
-    }
-
-    /// The top-`m` metapaths with their selection probabilities
-    /// `Pr(m) = c(m) / Σ_{m' ∈ top} c(m')` (renormalized over the kept
-    /// set, so the σ weights sum to 1).
-    pub fn top(&self, m: usize) -> Vec<(Metapath, f64)> {
-        let kept = &self.ranked[..m.min(self.ranked.len())];
-        let total: u64 = kept.iter().map(|&(_, c)| c).sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        kept.iter()
-            .map(|(p, c)| (p.clone(), *c as f64 / total as f64))
-            .collect()
     }
 }
 
@@ -337,26 +316,6 @@ mod tests {
         })
         .mine(&g, &q);
         assert!(mined.ranked().iter().all(|(m, _)| m.len() <= 2));
-    }
-
-    #[test]
-    fn top_renormalizes_probabilities() {
-        let g = star();
-        let q = Query::by_names(&g, ["center"]).unwrap();
-        let mined = PathMiner::new(PathMiningConfig {
-            walks: 5_000,
-            max_length: 4,
-            seed: 7,
-            parallel: false,
-        })
-        .mine(&g, &q);
-        let top = mined.top(2);
-        let sum: f64 = top.iter().map(|&(_, p)| p).sum();
-        assert!((sum - 1.0).abs() < 1e-12, "Pr over kept set must sum to 1");
-        assert!(top.len() <= 2);
-        // Counts are conserved.
-        let ranked_total: u64 = mined.ranked().iter().map(|&(_, c)| c).sum();
-        assert_eq!(ranked_total, mined.total_count());
     }
 
     #[test]

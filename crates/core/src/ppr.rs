@@ -60,15 +60,10 @@
 //!   propagated values are non-negative, so the shared lane-row zeroing
 //!   of [`BlockSparseWorkspace`] is bitwise invisible (see its docs).
 //!
-//! [`run_blocks`] fans independent blocks across workers via
-//! [`parallel::map_chunks`], folding per-block results in block order
-//! so the flat output is seed-order stable.
-//!
 //! [`run`]: PersonalizedPageRank::run
 //! [`run_dense`]: PersonalizedPageRank::run_dense
 //! [`frontier_outcome`]: PersonalizedPageRank::frontier_outcome
 //! [`run_block`]: PersonalizedPageRank::run_block
-//! [`run_blocks`]: PersonalizedPageRank::run_blocks
 
 use crate::config::{PprConfig, RandomWalkConfig};
 use crate::context::{top_k_context, CandidateFilter, Context, ContextSelector};
@@ -532,36 +527,6 @@ impl<G: GraphAccess> PersonalizedPageRank<G> {
             })
             .collect()
     }
-
-    /// [`run_block`](Self::run_block) over `seeds` split into blocks of
-    /// `width` (clamped to at least 1), with whole blocks fanned across
-    /// workers via [`parallel::map_chunks`] when `parallel` is set.
-    /// Per-block results are folded in block order, so the output is
-    /// index-aligned with `seeds` regardless of worker count.
-    pub fn run_blocks(&self, seeds: &[NodeId], width: usize, parallel: bool) -> Vec<PprOutcome>
-    where
-        G: Sync,
-    {
-        let blocks: Vec<&[NodeId]> = seeds.chunks(width.max(1)).collect();
-        parallel::map_chunks(
-            blocks.len(),
-            parallel && blocks.len() > 1,
-            |_i, range| {
-                // One workspace per chunk, reused across its blocks.
-                let mut ws = BlockPprWorkspace::new();
-                let mut out = Vec::new();
-                for bi in range {
-                    out.extend(self.run_block(blocks[bi], &mut ws));
-                }
-                out
-            },
-            Vec::with_capacity(seeds.len()),
-            |mut acc, part| {
-                acc.extend(part);
-                acc
-            },
-        )
-    }
 }
 
 /// The RandomWalk baseline selector: per-query-node PageRanks, summed.
@@ -623,22 +588,24 @@ impl<G: GraphAccess + Sync> ContextSelector<G> for RandomWalkSelector {
         let nq = query.len();
         let n = graph.num_nodes();
         // One PageRank per query node ("setting v_n = 1 for each n ∈ Q,
-        // individually"), accumulated by summation. Each chunk reuses one
-        // workspace across its query nodes.
+        // individually"), computed on workers — each chunk reusing one
+        // workspace across its query nodes — and summed in seed order,
+        // as the engine sums its cached vectors, so the chunking never
+        // reaches the bits.
         let scores = parallel::map_chunks(
             nq,
             self.config.ppr.parallel && nq > 1,
             |_i, range| {
                 let mut ws = PprWorkspace::new();
-                let mut acc = ScoreVec::zeros(n);
-                for qi in range {
-                    acc.add_assign(&ppr.run_with(&[query.nodes()[qi]], &mut ws));
-                }
-                acc
+                range
+                    .map(|qi| ppr.run_with(&[query.nodes()[qi]], &mut ws))
+                    .collect::<Vec<_>>()
             },
             ScoreVec::zeros(n),
             |mut acc, part| {
-                acc.add_assign(&part);
+                for v in &part {
+                    acc.add_assign(v);
+                }
                 acc
             },
         );
@@ -795,9 +762,53 @@ mod tests {
         })
         .select(&g, &q, 5)
         .unwrap();
-        let a: Vec<_> = seq.nodes().collect();
-        let b: Vec<_> = par.nodes().collect();
-        assert_eq!(a, b);
+        assert_eq!(context_bits(&seq), context_bits(&par));
+    }
+
+    fn context_bits(c: &Context) -> Vec<(NodeId, u64)> {
+        c.ranked().iter().map(|&(n, s)| (n, s.to_bits())).collect()
+    }
+
+    /// Under `parallel: true` the selector sums its per-seed vectors in
+    /// seed order — `((v1 + v2) + v3) + …`, the engine's fold — never
+    /// per worker chunk, so its scores carry the same bits on every
+    /// host whatever its core count.
+    #[test]
+    fn parallel_select_sums_seeds_in_seed_order() {
+        let mut b = GraphBuilder::new();
+        for i in 0..60usize {
+            for j in 1..=3usize {
+                b.add_triple(
+                    &format!("n{i}"),
+                    &format!("p{}", (i * j) % 4),
+                    &format!("n{}", (i * 7 + j * 13) % 60),
+                );
+            }
+        }
+        let g = b.build();
+        let seeds: Vec<NodeId> = (0..8)
+            .map(|i| g.node_by_name(&format!("n{}", i * 7)).unwrap())
+            .collect();
+        let q = Query::new(&g, seeds).unwrap();
+        let config = RandomWalkConfig {
+            ppr: PprConfig {
+                parallel: true,
+                ..PprConfig::default()
+            },
+            type_filter: TypeFilter::None,
+        };
+        let got = RandomWalkSelector::new(config.clone())
+            .select(&g, &q, g.num_nodes())
+            .unwrap();
+        let ppr = PersonalizedPageRank::new(&g, config.ppr).unwrap();
+        let mut sum = ScoreVec::zeros(g.num_nodes());
+        for &seed in q.nodes() {
+            sum.add_assign(&ppr.run(&[seed]));
+        }
+        let filter = CandidateFilter::new(&g, &q, TypeFilter::None);
+        let want = top_k_context(&g, &q, sum.iter(), &filter, g.num_nodes()).unwrap();
+        assert_eq!(got.len(), g.num_nodes() - q.len());
+        assert_eq!(context_bits(&got), context_bits(&want));
     }
 
     #[test]
@@ -1000,36 +1011,6 @@ mod tests {
             for (&seed, got) in seeds.iter().zip(&block) {
                 let want = ppr.frontier_outcome(&[seed], &mut sws);
                 assert_eq!(bits(&got.scores), bits(&want.scores));
-            }
-        }
-    }
-
-    /// `run_blocks` splits seeds into blocks and folds lane order back
-    /// flat — parallel or not, the output is index-aligned with seeds.
-    #[test]
-    fn run_blocks_preserves_seed_order_across_workers() {
-        let g = two_communities();
-        let ppr = PersonalizedPageRank::new(&g, PprConfig::default()).unwrap();
-        let seeds: Vec<NodeId> = ["a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3"]
-            .iter()
-            .map(|n| g.node_by_name(n).unwrap())
-            .collect();
-        let mut sws = PprWorkspace::new();
-        let want: Vec<Vec<u64>> = seeds
-            .iter()
-            .map(|&s| bits(&ppr.frontier_outcome(&[s], &mut sws).scores))
-            .collect();
-        for width in [1usize, 3, 8, 64] {
-            for par in [false, true] {
-                let got = ppr.run_blocks(&seeds, width, par);
-                assert_eq!(got.len(), seeds.len());
-                for (i, o) in got.iter().enumerate() {
-                    assert_eq!(
-                        bits(&o.scores),
-                        want[i],
-                        "seed {i} diverged (width {width}, parallel {par})"
-                    );
-                }
             }
         }
     }

@@ -82,8 +82,7 @@ pub enum SelectorMode {
     ContextRw,
     /// The frequency-weighted Personalized PageRank baseline, served
     /// through the seed-keyed PPR vector cache. Matches
-    /// [`nck_core::ppr::RandomWalkSelector`] with sequential summation
-    /// (`PprConfig::parallel = false`) bit for bit.
+    /// [`nck_core::ppr::RandomWalkSelector`] bit for bit.
     RandomWalk,
 }
 
@@ -130,18 +129,6 @@ pub struct EngineConfig {
     /// Execute batch groups across worker threads (results are identical
     /// either way; see the [module docs](self)).
     pub parallel: bool,
-    /// Seed-lane width of the blocked multi-seed PPR kernel
-    /// ([`nck_core::ppr::PersonalizedPageRank::run_block`]) that
-    /// [`QueryEngine::run_batch`] runs a batch's distinct seed-cache
-    /// misses through before group execution (RandomWalk groups only).
-    /// `0` or `1` disables blocking — every miss then runs solo inside
-    /// its query. Purely a performance knob: every lane is bit-identical
-    /// to its solo run, so results do not depend on the width.
-    pub ppr_block_width: usize,
-    /// Fault the per-predicate runs of a batch's seed-incident labels
-    /// into the backend's cache before executing
-    /// ([`GraphAccess::warm_predicate`]; a no-op on the CSR backend).
-    pub warm_predicates: bool,
 }
 
 impl Default for EngineConfig {
@@ -157,8 +144,6 @@ impl Default for EngineConfig {
             cache_shards: 8,
             threads: None,
             parallel: true,
-            warm_predicates: true,
-            ppr_block_width: 8,
         }
     }
 }
@@ -168,14 +153,12 @@ impl Default for EngineConfig {
 /// [`QueryEngine::run_batch_with`], [`QueryEngine::run_stream_with`]).
 ///
 /// An overridden request is answered bit for bit as a fresh [`FindNc`]
-/// under the overridden configuration would answer it — RandomWalk
-/// summing its seeds sequentially, as [`SelectorMode::RandomWalk`]
-/// defines — and through the same caches and single-flight path as
-/// every other request. A field the effective selector does not read
-/// (`walks` under RandomWalk, `epsilon` under ContextRW) changes
-/// nothing. Values are not bounded here: an out-of-range one fails the
-/// way the fresh pipeline would (`nck-api` rejects them before they
-/// reach the engine).
+/// under the overridden configuration would answer it, through the same
+/// caches and single-flight path as every other request. A field the
+/// effective selector does not read (`walks` under RandomWalk,
+/// `epsilon` under ContextRW) changes nothing. Values are not bounded
+/// here: an out-of-range one fails the way the fresh pipeline would
+/// (`nck-api` rejects them before they reach the engine).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Overrides {
     /// Context size |C|.
@@ -224,6 +207,12 @@ impl Pipeline {
 /// The result- and context-cache key: the seed list in query order
 /// ([`schedule::canonical_key`]) and the pipeline key.
 type Key = (Vec<NodeId>, Pipeline);
+
+/// Seed lanes per run of the blocked multi-seed PPR kernel
+/// ([`nck_core::ppr::PersonalizedPageRank::run_block`]) that a batch's
+/// distinct seed-cache misses are prefilled through. Every lane is
+/// bit-identical to its solo run, so answers do not depend on it.
+const PPR_BLOCK_WIDTH: usize = 8;
 
 /// ε as a cache key: its bits, with −0.0 mapped to 0.0 (both run the
 /// exact executor, so they must share entries).
@@ -285,7 +274,7 @@ pub struct EngineStats {
     pub ppr_coalesced: u64,
     /// Blocked multi-seed PPR kernel invocations
     /// ([`QueryEngine::run_batch`]'s distinct-miss prefill; one run
-    /// covers up to `ppr_block_width` seeds).
+    /// covers up to 8 seeds).
     pub ppr_block_runs: u64,
     /// Seed vectors computed by blocked runs and inserted into the PPR
     /// cache. Blocked fills bypass the per-seed miss path, so this —
@@ -302,19 +291,6 @@ pub struct EngineStats {
     pub context: CacheStats,
     /// Result cache counters.
     pub result: CacheStats,
-}
-
-/// Per-predicate statistics row (see [`QueryEngine::predicate_stats`]).
-#[derive(Debug, Clone)]
-pub struct PredicateStat {
-    /// The edge label.
-    pub label: EdgeLabelId,
-    /// Its name.
-    pub name: String,
-    /// Stored-edge count `|E_l|`.
-    pub count: u64,
-    /// Relative frequency `|E_l| / |E|` (Eq. 1's input).
-    pub frequency: f64,
 }
 
 /// The batched query engine. See the [module docs](self).
@@ -475,9 +451,8 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
 
     /// Runs one query through the caches. The result is bit-identical to
     /// sequential [`FindNc::discover`] (ContextRW mode) or
-    /// [`FindNc::discover_with_selector`] with a sequential-summation
-    /// RandomWalk selector (RandomWalk mode) under the same
-    /// configuration.
+    /// [`FindNc::discover_with_selector`] with a RandomWalk selector
+    /// (RandomWalk mode) under the same configuration.
     pub fn run(&self, query: &Query) -> Result<Arc<SearchResult>, CoreError> {
         self.run_with(query, &Overrides::default())
     }
@@ -717,9 +692,9 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
 
     /// Executes a batch: plans it (dedup + seed clustering), warms the
     /// backend's predicate runs, prefills the PPR cache through the
-    /// blocked multi-seed kernel (RandomWalk groups, see
-    /// [`EngineConfig::ppr_block_width`]), runs the distinct groups
-    /// across worker threads, and fans results back out to input order.
+    /// blocked multi-seed kernel (RandomWalk groups with at least two
+    /// distinct seed misses), runs the distinct groups across worker
+    /// threads, and fans results back out to input order.
     /// `results[i]` answers `queries[i]`; the first failing group (in
     /// plan order) aborts the batch with its error.
     pub fn run_batch(&self, queries: &[Query]) -> Result<Vec<Arc<SearchResult>>, CoreError> {
@@ -750,13 +725,8 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         let plan = schedule::plan(&keys);
         self.deduplicated
             .fetch_add(plan.deduplicated() as u64, Ordering::Relaxed);
-        if self.config.warm_predicates {
-            self.warm_batch_predicates(&plan, &keys);
-        }
-        let width = self.config.ppr_block_width;
-        if width > 1 {
-            self.prefill_ppr_blocks(&plan, &keys, width);
-        }
+        self.warm_batch_predicates(&plan, &keys);
+        self.prefill_ppr_blocks(&plan, &keys);
         let groups = &plan.groups;
         // Chunk order is preserved by the fold, so per-group results come
         // back sorted by group index and error selection is deterministic.
@@ -834,11 +804,13 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
 
     /// Gathers the batch's **distinct seed-cache misses**, separately
     /// for each ε its RandomWalk groups run under, into blocks of
-    /// `width` lanes, runs the blocked multi-seed kernel once per block
-    /// (whole blocks fan across workers), and fills the PPR cache with
-    /// the per-lane `Arc<ScoreVec>`s — so when the groups execute, their
-    /// `ppr_vector` calls hit instead of sweeping the graph once per
-    /// seed. A no-op for batches without RandomWalk groups.
+    /// [`PPR_BLOCK_WIDTH`] lanes, runs the blocked multi-seed kernel
+    /// once per block (whole blocks fan across workers), and fills the
+    /// PPR cache with the per-lane `Arc<ScoreVec>`s — so when the groups
+    /// execute, their `ppr_vector` calls hit instead of sweeping the
+    /// graph once per seed. An ε with a lone miss is left to the solo
+    /// executor inside its group; a no-op for batches without
+    /// RandomWalk groups.
     ///
     /// Every lane is bit-identical to the solo run the miss path would
     /// have performed (the kernel's contract), so prefilled answers are
@@ -848,7 +820,7 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
     /// cache probe uses `peek` (uncounted): prefilled seeds surface as
     /// ordinary hits later, and `ppr_lanes_filled` accounts the blocked
     /// computations.
-    fn prefill_ppr_blocks(&self, plan: &schedule::BatchPlan, keys: &[Key], width: usize) {
+    fn prefill_ppr_blocks(&self, plan: &schedule::BatchPlan, keys: &[Key]) {
         let mut seeds: BTreeMap<u64, BTreeSet<NodeId>> = BTreeMap::new();
         for group in &plan.groups {
             let (query_seeds, pipeline) = &keys[group.representative];
@@ -874,7 +846,7 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         let blocks: Vec<(usize, &[NodeId])> = rankers
             .iter()
             .enumerate()
-            .flat_map(|(r, (_, _, misses))| misses.chunks(width).map(move |b| (r, b)))
+            .flat_map(|(r, (_, _, misses))| misses.chunks(PPR_BLOCK_WIDTH).map(move |b| (r, b)))
             .collect();
         if blocks.is_empty() {
             return;
@@ -933,24 +905,6 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         for label in labels {
             self.graph.warm_predicate(label);
         }
-    }
-
-    /// Per-predicate statistics of the backend, descending by stored-edge
-    /// count (forward labels only) — the hot-predicate profile batch
-    /// scheduling exploits.
-    pub fn predicate_stats(&self) -> Vec<PredicateStat> {
-        let labels = self.graph.labels();
-        let mut rows: Vec<PredicateStat> = labels
-            .iter_forward()
-            .map(|l| PredicateStat {
-                label: l,
-                name: labels.name(l).to_owned(),
-                count: self.graph.label_count(l),
-                frequency: self.graph.label_frequency(l),
-            })
-            .collect();
-        rows.sort_by(|a, b| b.count.cmp(&a.count).then(a.label.cmp(&b.label)));
-        rows
     }
 
     /// Snapshot of the cache and dedup counters.
@@ -1183,8 +1137,9 @@ mod tests {
     }
 
     /// A RandomWalk batch served through the blocked kernel must be
-    /// id-for-id and bit-for-bit identical to the per-seed loop, with
-    /// the block counters accounting for every distinct seed.
+    /// id-for-id and bit-for-bit identical to per-query runs, which take
+    /// the solo executor, with the block counters accounting for every
+    /// distinct seed.
     #[test]
     fn blocked_batch_matches_per_seed_batch_bit_for_bit() {
         use nck_core::config::PprConfig;
@@ -1209,23 +1164,9 @@ mod tests {
                 Query::by_names(&g, [format!("leader{i}"), format!("leader{}", i + 8)]).unwrap()
             })
             .collect();
-        let per_seed = QueryEngine::new(
-            &g,
-            EngineConfig {
-                ppr_block_width: 1,
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        let blocked = QueryEngine::new(
-            &g,
-            EngineConfig {
-                ppr_block_width: 4,
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        let a = per_seed.run_batch(&queries).unwrap();
+        let per_seed = QueryEngine::new(&g, base.clone()).unwrap();
+        let blocked = QueryEngine::new(&g, base.clone()).unwrap();
+        let a: Vec<Arc<SearchResult>> = queries.iter().map(|q| per_seed.run(q).unwrap()).collect();
         let b = blocked.run_batch(&queries).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.context.ranked(), y.context.ranked(), "contexts agree");
@@ -1236,13 +1177,13 @@ mod tests {
         }
         let s = blocked.stats();
         assert_eq!(s.ppr_lanes_filled, 16, "every distinct seed block-filled");
-        assert_eq!(s.ppr_block_runs, 4, "16 seeds in width-4 blocks");
+        assert_eq!(s.ppr_block_runs, 2, "16 seeds in width-8 blocks");
         assert_eq!(s.ppr.misses, 0, "group execution hits the prefill");
         assert!(s.ppr.hits >= 16);
         let s1 = per_seed.stats();
-        assert_eq!(s1.ppr_block_runs, 0, "width 1 never blocks");
+        assert_eq!(s1.ppr_block_runs, 0, "single runs never block");
         assert_eq!(s1.ppr_lanes_filled, 0);
-        assert_eq!(s1.ppr.misses, 16, "per-seed loop misses each seed");
+        assert_eq!(s1.ppr.misses, 16, "per-query runs miss each seed");
         // A warm repeat prefills nothing: every seed peeks as cached.
         blocked.run_batch(&queries).unwrap();
         assert_eq!(blocked.stats().ppr_lanes_filled, 16);
@@ -1354,14 +1295,7 @@ mod tests {
         let s = blocked.stats();
         assert_eq!(s.ppr_lanes_filled, 8, "4 seeds at each of 2 ε");
         assert_eq!(s.ppr.misses, 0, "group execution hits the prefill");
-        let solo = QueryEngine::new(
-            &g,
-            EngineConfig {
-                ppr_block_width: 1,
-                ..randomwalk_config()
-            },
-        )
-        .unwrap();
+        let solo = QueryEngine::new(&g, randomwalk_config()).unwrap();
         for ((q, o), r) in batch.iter().zip(&results) {
             let want = solo.run_with(q, o).unwrap();
             assert_eq!(want.context.ranked(), r.context.ranked());
@@ -1478,20 +1412,6 @@ mod tests {
             r.characteristics.len() as u64,
             "cache hit must not re-score"
         );
-    }
-
-    #[test]
-    fn predicate_stats_descend_by_count() {
-        let g = leaders();
-        let engine = QueryEngine::with_defaults(&g);
-        let stats = engine.predicate_stats();
-        assert!(!stats.is_empty());
-        for w in stats.windows(2) {
-            assert!(w[0].count >= w[1].count);
-        }
-        let total: f64 = stats.iter().map(|s| s.frequency).sum();
-        // Forward labels carry half the stored (closed) edge mass.
-        assert!((total - 0.5).abs() < 1e-9, "forward frequency sum {total}");
     }
 
     /// A stand-in encoding: the characteristic count, plus a call count.

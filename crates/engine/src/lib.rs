@@ -23,8 +23,9 @@
 //!   collapse to one execution, distinct queries cluster around their
 //!   hottest shared seed so cache hits land before evictions;
 //! - **[`engine`]** — [`QueryEngine`] itself: plans, warms the backend's
-//!   per-predicate runs ([`GraphAccess::warm_predicate`]), executes
-//!   groups across worker threads, and fans results back out. It derives
+//!   per-predicate runs ([`GraphAccess::warm_predicate`]), prefills a
+//!   RandomWalk batch's distinct PPR misses through the blocked kernel,
+//!   executes groups across worker threads, and fans results back out. It derives
 //!   the Eq.-1 weight table at most once: at construction in RandomWalk
 //!   mode, else on the first `selector: RandomWalk` override.
 //!
@@ -79,8 +80,6 @@ pub mod flight;
 pub mod schedule;
 
 pub use cache::{CacheStats, LruCache, ShardedLru};
-pub use engine::{
-    Encoded, EngineConfig, EngineStats, Overrides, PredicateStat, QueryEngine, SelectorMode,
-};
+pub use engine::{Encoded, EngineConfig, EngineStats, Overrides, QueryEngine, SelectorMode};
 pub use flight::SingleFlight;
 pub use schedule::{canonical_key, plan, BatchPlan, QueryGroup};

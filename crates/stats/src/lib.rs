@@ -6,16 +6,13 @@
 //! distribution over the context set with an **exact multinomial test**
 //! (falling back to Monte-Carlo sampling when the outcome space is large,
 //! see footnote 1 of the paper). The authors delegated that test to an R
-//! package; this crate implements it from scratch, together with every
-//! comparison measure the paper discusses and rejects (§3.2) or uses as an
-//! evaluation baseline (§4.2):
+//! package; this crate implements it from scratch, together with the
+//! comparison measures the paper uses as evaluation baselines (§4.2):
 //!
 //! - [`MultinomialTest`] — exact enumeration + seeded Monte-Carlo fallback;
 //! - [`divergence`] — Kullback-Leibler and Jensen-Shannon divergences;
 //! - [`emd`] — Earth Mover's Distance (1-D ground distance and unit ground
 //!   distance);
-//! - [`classical`] — χ² and two-proportion z-tests, including the
-//!   applicability checks explaining why the paper rules them out;
 //! - [`ranking`] — minimum-adjacent-swap (Kendall-tau) ranking distance used
 //!   in the §4.2 metric comparison;
 //! - [`metrics`] — precision / recall / F1 used throughout §4.
@@ -25,12 +22,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod classical;
 pub mod divergence;
 pub mod emd;
 pub mod error;
 pub mod exact;
-pub mod histogram;
 pub mod metrics;
 pub mod monte_carlo;
 pub mod multinomial;
@@ -39,7 +34,6 @@ pub mod special;
 pub mod test;
 
 pub use error::StatsError;
-pub use histogram::Histogram;
 pub use metrics::{f1_score, precision_recall_f1, PrecisionRecall};
 pub use multinomial::Multinomial;
 pub use test::{MultinomialTest, TestMethod, TestOutcome};

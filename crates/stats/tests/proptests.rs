@@ -9,7 +9,7 @@ use nck_stats::monte_carlo::monte_carlo_significance;
 use nck_stats::multinomial::Multinomial;
 use nck_stats::ranking::{kendall_tau_distance, min_swaps, spearman_footrule};
 use nck_stats::special::{composition_count, ln_factorial, ln_gamma};
-use nck_stats::{f1_score, Histogram, MultinomialTest};
+use nck_stats::{f1_score, MultinomialTest};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -185,15 +185,5 @@ proptest! {
         prop_assert!(f1 >= 0.0);
         // F1 ≤ 2·min/(1) bound and ≤ max.
         prop_assert!(f1 <= 2.0 * p.min(r).max(0.0) + 1e-12);
-    }
-
-    #[test]
-    fn histogram_total_matches_inserts(indices in prop::collection::vec(0usize..20, 0..50)) {
-        let h: Histogram = indices.iter().cloned().collect();
-        prop_assert_eq!(h.total() as usize, indices.len());
-        for i in 0..20 {
-            let expected = indices.iter().filter(|&&x| x == i).count() as u64;
-            prop_assert_eq!(h.get(i), expected);
-        }
     }
 }

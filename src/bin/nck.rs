@@ -67,13 +67,10 @@ query/batch options:
   --context-size N          context size |C| (default: 100)
   --walks N                 PathMining walk budget (default: 30000)
   --epsilon F               randomwalk sparse-PPR pruning threshold
-                            (default: 0 = exact frontier execution)
+                            (default: 0 = exact dense execution)
   --top N                   characteristics to print per query (default: 10)
   --threads N               cap worker threads (default: derive from the
                             machine; results are identical under any cap)
-  --ppr-block-width N       seeds per blocked-PPR lane block in randomwalk
-                            batches (default: 8; 0 or 1 disables blocking;
-                            results are identical at any width)
   --json                    emit JSON instead of tables
   --no-parallel             single-threaded execution
 
@@ -118,9 +115,6 @@ struct RunOpts {
     epsilon: f64,
     top: usize,
     threads: Option<usize>,
-    /// `Some` only when `--ppr-block-width` was given; the engine default
-    /// applies otherwise.
-    ppr_block_width: Option<usize>,
     json: bool,
     parallel: bool,
 }
@@ -138,7 +132,6 @@ impl Default for RunOpts {
             epsilon: 0.0,
             top: 10,
             threads: None,
-            ppr_block_width: None,
             json: false,
             parallel: true,
         }
@@ -271,12 +264,34 @@ fn parse_run_opts(args: &mut Vec<String>) -> Result<RunOpts, String> {
         }
         o.threads = Some(threads);
     }
-    if let Some(v) = take_flag(args, "--ppr-block-width")? {
-        o.ppr_block_width = Some(parse_num(&v, "--ppr-block-width")?);
-    }
     o.json = take_switch(args, "--json");
     o.parallel = !take_switch(args, "--no-parallel");
     Ok(o)
+}
+
+/// [`parse_run_opts`] as the last parse step of `query` and `batch`:
+/// `--graph` is required, and any argument still left is unknown.
+fn finish_run_opts(args: &mut Vec<String>) -> Result<RunOpts, String> {
+    let opts = parse_run_opts(args)?;
+    if opts.graph.is_empty() {
+        return Err("--graph is required".into());
+    }
+    if let Some(junk) = args.first() {
+        return Err(format!("unexpected argument {junk:?}"));
+    }
+    Ok(opts)
+}
+
+/// The exit status of a command's run: 1 with the error on stderr when
+/// it failed.
+fn exit_status(run: Result<(), String>) -> ExitCode {
+    match run {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("nck: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn engine_config(o: &RunOpts) -> EngineConfig {
@@ -290,18 +305,13 @@ fn engine_config(o: &RunOpts) -> EngineConfig {
     cfg.findnc.context_size = o.context_size;
     cfg.selector = o.selector;
     cfg.randomwalk.type_filter = o.type_filter;
-    // Sequential summation so engine answers are bit-identical to the
-    // sequential baseline the compare mode measures against.
     cfg.randomwalk.ppr = PprConfig {
-        parallel: false,
+        parallel: o.parallel,
         epsilon: o.epsilon,
         ..PprConfig::default()
     };
     cfg.parallel = o.parallel;
     cfg.threads = o.threads;
-    if let Some(width) = o.ppr_block_width {
-        cfg.ppr_block_width = width;
-    }
     cfg
 }
 
@@ -481,15 +491,15 @@ fn cmd_build_graph(args: &[String]) -> ExitCode {
 
 fn cmd_query(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
-    let run = (|| -> Result<(), String> {
+    let parsed = (|| -> Result<(String, RunOpts), String> {
         let query_spec = take_flag(&mut args, "--query")?.ok_or("--query is required")?;
-        let opts = parse_run_opts(&mut args)?;
-        if opts.graph.is_empty() {
-            return Err("--graph is required".into());
-        }
-        if let Some(junk) = args.first() {
-            return Err(format!("unexpected argument {junk:?}"));
-        }
+        Ok((query_spec, finish_run_opts(&mut args)?))
+    })();
+    let (query_spec, opts) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => return fail(&e),
+    };
+    exit_status((|| {
         let service = load_service(&opts)?;
         let request = request_for_line(&query_spec, opts.top);
         let mut response = service.query(&request).map_err(|e| e.to_string())?;
@@ -503,19 +513,12 @@ fn cmd_query(args: &[String]) -> ExitCode {
             println!("({:.3}s)", secs.unwrap_or(0.0));
         }
         Ok(())
-    })();
-    match run {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("nck: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    })())
 }
 
 fn cmd_batch(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
-    let run = (|| -> Result<(), String> {
+    let parsed = (|| -> Result<(String, WorkloadRequest, RunOpts), String> {
         let queries_path = take_flag(&mut args, "--queries")?.ok_or("--queries is required")?;
         let repeat: usize = match take_flag(&mut args, "--repeat")? {
             Some(v) => parse_num(&v, "--repeat")?,
@@ -545,32 +548,32 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             }
             None => None,
         };
-        let opts = parse_run_opts(&mut args)?;
-        if opts.graph.is_empty() {
-            return Err("--graph is required".into());
-        }
-        if let Some(junk) = args.first() {
-            return Err(format!("unexpected argument {junk:?}"));
-        }
-        let text = std::fs::read_to_string(&queries_path)
-            .map_err(|e| format!("cannot read {queries_path:?}: {e}"))?;
-        let queries: Vec<QueryRequest> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .map(|l| request_for_line(l, opts.top))
-            .collect();
-        if queries.is_empty() {
-            return Err(format!("{queries_path}: no queries"));
-        }
-        let service = load_service(&opts)?;
         let request = WorkloadRequest {
-            queries,
+            queries: Vec::new(),
             repeat: repeat.max(1),
             mode,
             chunk,
             clients,
         };
+        Ok((queries_path, request, finish_run_opts(&mut args)?))
+    })();
+    let (queries_path, mut request, opts) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => return fail(&e),
+    };
+    exit_status((|| {
+        let text = std::fs::read_to_string(&queries_path)
+            .map_err(|e| format!("cannot read {queries_path:?}: {e}"))?;
+        request.queries = text
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .map(|l| request_for_line(l, opts.top))
+            .collect();
+        if request.queries.is_empty() {
+            return Err(format!("{queries_path}: no queries"));
+        }
+        let service = load_service(&opts)?;
         let report = service.workload(&request).map_err(|e| e.to_string())?;
         if opts.json {
             println!("{}", json::to_string(&report));
@@ -578,14 +581,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             print_workload(&report);
         }
         Ok(())
-    })();
-    match run {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("nck: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    })())
 }
 
 // ---------------------------------------------------------------------------
@@ -594,7 +590,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
 
 fn cmd_serve(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
-    let run = (|| -> Result<(), String> {
+    exit_status((|| {
         let addr = take_flag(&mut args, "--addr")?.unwrap_or_else(|| "127.0.0.1:4517".to_owned());
         let mut config = ServeConfig::default();
         if let Some(v) = take_flag(&mut args, "--workers")? {
@@ -647,14 +643,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             print_serve_metrics(&metrics);
         }
         Ok(())
-    })();
-    match run {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("nck: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    })())
 }
 
 fn print_serve_metrics(m: &ServeMetrics) {
@@ -879,21 +868,44 @@ mod tests {
     }
 
     #[test]
-    fn threads_and_block_width_are_engine_settings() {
-        // The worker cap and PPR block width reach the engine only through
-        // `EngineConfig`; no request carries them.
-        let mut a = args(&["--threads", "3", "--ppr-block-width", "4"]);
+    fn threads_is_an_engine_setting() {
+        // The worker cap reaches the engine only through `EngineConfig`;
+        // no request carries it.
+        let mut a = args(&["--threads", "3"]);
         let cfg = engine_config(&parse_run_opts(&mut a).unwrap());
         assert_eq!(cfg.threads, Some(3));
-        assert_eq!(cfg.ppr_block_width, 4);
         let mut a = args(&[]);
         let cfg = engine_config(&parse_run_opts(&mut a).unwrap());
-        let default = EngineConfig::default();
-        assert_eq!(cfg.threads, default.threads);
-        assert_eq!(cfg.ppr_block_width, default.ppr_block_width);
+        assert_eq!(cfg.threads, EngineConfig::default().threads);
         let mut a = args(&["--threads", "0"]);
         let err = parse_run_opts(&mut a).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
+    }
+
+    #[test]
+    fn removed_block_width_flag_is_an_unexpected_argument() {
+        let mut a = args(&["--graph", "g.nt", "--ppr-block-width", "4"]);
+        let err = finish_run_opts(&mut a).unwrap_err();
+        assert_eq!(err, r#"unexpected argument "--ppr-block-width""#);
+        // A usage error: exit 2, before any file is opened.
+        let query = args(&[
+            "--graph",
+            "missing.nt",
+            "--query",
+            "A",
+            "--ppr-block-width",
+            "4",
+        ]);
+        assert_eq!(cmd_query(&query), ExitCode::from(2));
+        let batch = args(&[
+            "--graph",
+            "missing.nt",
+            "--queries",
+            "q",
+            "--ppr-block-width",
+            "4",
+        ]);
+        assert_eq!(cmd_batch(&batch), ExitCode::from(2));
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //!   solo `frontier_outcome` run of that lane's seed — scores, dropped
 //!   mass and the reported `l1_bound` alike — on the CSR, triple-store
 //!   and compact backends;
-//! - block width is a pure performance knob: any chunking (`B = 1`,
-//!   `B` larger than the seed set, duplicate seeds in one block) and
-//!   worker-parallel block execution produce the same bits in the same
-//!   seed order.
+//! - block width is invisible in the answer: any chunking of the seeds
+//!   into `run_block` calls (`B = 1`, `B` larger than the seed set,
+//!   duplicate seeds in one block), with the blocks run in sequence or
+//!   across workers, produces the same bits in the same seed order.
 
 #![forbid(unsafe_code)]
 
 use notable_characteristics::core::config::PprConfig;
+use notable_characteristics::core::parallel;
 use notable_characteristics::core::ppr::{BlockPprWorkspace, PersonalizedPageRank, PprWorkspace};
 use notable_characteristics::core::score::ScoreVec;
 use notable_characteristics::graph::builder::GraphBuilder;
@@ -22,9 +23,8 @@ use notable_characteristics::store::StoreGraph;
 use proptest::prelude::*;
 
 /// One generated case: triples over a small universe, a seed list
-/// (duplicates allowed), a block width (0 disables nothing here —
-/// `run_blocks` clamps it to 1), and a damping choice (0 → low,
-/// 1 → high).
+/// (duplicates allowed), a block width (0 is clamped to 1), and a
+/// damping choice (0 → low, 1 → high).
 type Case = (Vec<(u8, u8, u8)>, Vec<u8>, usize, u8);
 
 fn cases() -> impl Strategy<Value = Case> {
@@ -140,12 +140,26 @@ proptest! {
             .iter()
             .map(|o| bits(&o.scores))
             .collect();
+        let blocks: Vec<&[NodeId]> = seeds.chunks(width.max(1)).collect();
         for parallel in [false, true] {
-            let got: Vec<Vec<u64>> = ppr
-                .run_blocks(&seeds, width, parallel)
-                .iter()
-                .map(|o| bits(&o.scores))
-                .collect();
+            // Blocks fan across workers the way the engine's batch
+            // prefill runs them, one workspace per chunk of blocks.
+            let got: Vec<Vec<u64>> = parallel::map_chunks(
+                blocks.len(),
+                parallel,
+                |_chunk, range| {
+                    let mut ws = BlockPprWorkspace::new();
+                    range
+                        .flat_map(|bi| ppr.run_block(blocks[bi], &mut ws))
+                        .map(|o| bits(&o.scores))
+                        .collect::<Vec<_>>()
+                },
+                Vec::new(),
+                |mut acc, part| {
+                    acc.extend(part);
+                    acc
+                },
+            );
             prop_assert_eq!(
                 &got, &want,
                 "width {} parallel {} changed the answer", width, parallel
