@@ -200,12 +200,14 @@ impl FindNc {
     ///
     /// Distributions come from the node-major sweep
     /// ([`sweep::build_all`]), and the per-label discrimination tests fan
-    /// out across [`crate::parallel`] workers. Every label's result
-    /// equals [`LabelDistributions::build_full`] scored on its own: the
-    /// distributions by construction (see [`crate::sweep`]), and the
-    /// scores because each test re-seeds from the label-independent
-    /// config seed, so no result depends on call order. The fold
-    /// preserves label order.
+    /// out across [`crate::parallel`] workers, which pull the labels one
+    /// at a time, costliest first
+    /// ([`map_costliest_first`](crate::parallel::map_costliest_first)).
+    /// Every label's result equals [`LabelDistributions::build_full`]
+    /// scored on its own: the distributions by construction (see
+    /// [`crate::sweep`]), and the scores because each test re-seeds from
+    /// the label-independent config seed, so no result depends on call
+    /// order or on which worker ran it. Results come back in label order.
     pub fn discover_with_discrimination_ws<G: GraphAccess>(
         &self,
         graph: &G,
@@ -229,23 +231,15 @@ impl FindNc {
             self.config.include_inverse_labels,
             ws,
         );
-        // Fan the per-label tests out; the fold sees chunks in index
-        // order, so scored results — and the first error, if any — come
-        // back in ascending label order.
-        let scored: Vec<Result<DiscriminationScore, CoreError>> = crate::parallel::map_chunks(
-            dists.len(),
-            true,
-            |_, range| {
-                range
-                    .map(|i| discrimination.score(&dists[i]))
-                    .collect::<Vec<_>>()
-            },
-            Vec::with_capacity(dists.len()),
-            |mut acc, part| {
-                acc.extend(part);
-                acc
-            },
-        );
+        // Fan the per-label tests out, costliest first; results come
+        // back in ascending label order, and with them the first error,
+        // if any.
+        let scored: Vec<Result<DiscriminationScore, CoreError>> =
+            crate::parallel::map_costliest_first(
+                dists.len(),
+                |i| test_cost(&dists[i]),
+                |i| discrimination.score(&dists[i]),
+            );
         let mut characteristics = Vec::with_capacity(dists.len());
         for (dists, scored) in dists.into_iter().zip(scored) {
             let s = scored?;
@@ -283,6 +277,16 @@ impl FindNc {
             context: context.clone(),
         })
     }
+}
+
+/// A label's discrimination cost for scheduling: query observations
+/// times categories, summed over its two distributions. A multinomial
+/// test's cost grows with both — an exact enumeration with the outcome
+/// count, a Monte-Carlo test with the draws per sample — so this puts a
+/// label's heavy test ahead of its cheap ones.
+fn test_cost(dists: &LabelDistributions) -> u64 {
+    let card_q_total: u64 = dists.card_q.iter().sum();
+    dists.inst_q_total() * dists.inst_c.len() as u64 + card_q_total * dists.card_c.len() as u64
 }
 
 impl Default for FindNc {

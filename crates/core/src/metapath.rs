@@ -8,7 +8,7 @@
 //! metapath has been found so far."*
 //!
 //! Two implementation choices the paper leaves implicit are made explicit
-//! here (and in DESIGN.md):
+//! here (and in ARCHITECTURE.md):
 //!
 //! - **Orientation.** Mined walks run *into* the query, while the σ score
 //!   matches paths *out of* query nodes — and the miner stores the label
@@ -84,7 +84,7 @@ pub struct MinedMetapaths {
 }
 
 impl MinedMetapaths {
-    fn from_counts(counts: HashMap<Vec<EdgeLabelId>, u64>) -> Self {
+    pub(crate) fn from_counts(counts: HashMap<Vec<EdgeLabelId>, u64>) -> Self {
         let mut ranked: Vec<(Metapath, u64)> = counts
             .into_iter()
             .map(|(labels, c)| (Metapath::new(labels), c))

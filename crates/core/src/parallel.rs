@@ -1,11 +1,19 @@
-//! Minimal deterministic fork-join helper over crossbeam scoped threads.
+//! Minimal deterministic fork-join helpers over crossbeam scoped threads.
 //!
 //! PathMining (hundreds of thousands of independent walks) and the
-//! per-query-node PageRanks are embarrassingly parallel; this helper
+//! per-query-node PageRanks are embarrassingly parallel; [`map_chunks`]
 //! splits an index range into chunks, runs workers over them, and folds
 //! the partial results in chunk order — so parallel runs produce
 //! byte-identical output across repetitions as long as each chunk
 //! derives its randomness from its chunk index.
+//!
+//! FindNC's per-label discrimination tests are independent too, but
+//! their costs are heavy-tailed: one label's test can outweigh all the
+//! others together. Contiguous chunks would pin that label and its
+//! neighbours to one worker while another idles, so
+//! [`map_costliest_first`] has workers pull one item at a time, the
+//! costliest first, and returns the results in index order. Which worker
+//! runs an item, and when, reaches no result.
 //!
 //! ## Chunk count vs worker count
 //!
@@ -175,6 +183,63 @@ where
     results.into_iter().flatten().fold(init, fold)
 }
 
+/// Runs `worker(i)` for every `i` in `0..n` on up to [`thread_count`]
+/// threads (the calling thread is one of them) and returns the results
+/// in index order.
+///
+/// Workers pull one item at a time from a shared cursor over the items
+/// sorted by descending `cost(i)`, ties by ascending index: the
+/// costliest item starts first, and the cheap tail fills in around it
+/// on whichever worker frees up. `cost` only orders the work. Results
+/// are placed by index, so they — and `worker`'s calls, if it is pure up
+/// to its argument — are the same under any cost model or worker cap.
+///
+/// ```
+/// use nck_core::parallel::map_costliest_first;
+/// let squares = map_costliest_first(5, |i| [1, 9, 4, 9, 0][i], |i| i * i);
+/// assert_eq!(squares, vec![0, 1, 4, 9, 16]);
+/// ```
+pub fn map_costliest_first<T, C, W>(n: usize, cost: C, worker: W) -> Vec<T>
+where
+    T: Send,
+    C: Fn(usize) -> u64,
+    W: Fn(usize) -> T + Sync,
+{
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_cached_key(|&i| (std::cmp::Reverse(cost(i)), i));
+    // `Relaxed` suffices: the cursor only hands out positions (each one
+    // exactly once, as `fetch_add` is atomic); results travel through
+    // the joins.
+    let cursor = AtomicUsize::new(0);
+    let pull = || {
+        let mut done = Vec::new();
+        while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            done.push((i, worker(i)));
+        }
+        done
+    };
+    let helpers = thread_count(n) - 1;
+    let runs: Vec<Vec<(usize, T)>> = crossbeam::thread::scope(|s| {
+        let handles: Vec<_> = (0..helpers).map(|_| s.spawn(|_| pull())).collect();
+        let mut runs = vec![pull()];
+        runs.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread panicked")),
+        );
+        runs
+    })
+    .expect("crossbeam scope failed");
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+    for (i, result) in runs.into_iter().flatten() {
+        slots[i] = Some(result);
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every item runs exactly once"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,11 +327,42 @@ mod tests {
             let capped = map_chunks(n, true, worker, Vec::new(), fold);
             assert_eq!(capped, uncapped, "cap={cap} must be invisible");
         }
+        for cap in [Some(1), Some(2), Some(16), None] {
+            set_thread_cap(cap);
+            check_costliest_first(cap);
+        }
         set_thread_cap(Some(0)); // 0 is clamped to 1, not "unset"
         assert_eq!(thread_cap(), Some(1));
         set_thread_cap(None);
         assert_eq!(thread_cap(), None);
         assert_eq!(map_chunks(n, true, worker, Vec::new(), fold), uncapped);
+    }
+
+    /// [`map_costliest_first`] under the current cap: every item runs
+    /// once and results come back in index order; one worker starts the
+    /// items in descending cost, ties by index.
+    fn check_costliest_first(cap: Option<usize>) {
+        let n = 40usize;
+        let cost = |i: usize| (i as u64 * 7919) % 13;
+        let started = AtomicUsize::new(0);
+        let out = map_costliest_first(n, cost, |i| (i, started.fetch_add(1, Ordering::Relaxed)));
+        assert!(
+            out.iter().enumerate().all(|(i, &(j, _))| i == j),
+            "cap {cap:?}"
+        );
+        let mut by_start: Vec<(usize, usize)> = out.iter().map(|&(i, s)| (s, i)).collect();
+        by_start.sort_unstable();
+        assert!(
+            by_start.iter().enumerate().all(|(s, &(t, _))| s == t),
+            "each item once"
+        );
+        if cap == Some(1) {
+            let mut by_cost: Vec<usize> = (0..n).collect();
+            by_cost.sort_by_key(|&i| (std::cmp::Reverse(cost(i)), i));
+            let started: Vec<usize> = by_start.iter().map(|&(_, i)| i).collect();
+            assert_eq!(started, by_cost, "one worker runs the costliest first");
+        }
+        assert!(map_costliest_first(0, |_| 0, |i| i).is_empty());
     }
 
     #[test]

@@ -59,8 +59,8 @@ use crate::cache::{CacheStats, ShardedLru};
 use crate::flight::SingleFlight;
 use crate::schedule;
 use nck_core::config::{FindNcConfig, PprConfig, RandomWalkConfig};
-use nck_core::context::{top_k_context, CandidateFilter, Context, ContextSelector, TypeFilter};
-use nck_core::context_rw::ContextRw;
+use nck_core::context::{top_k_context, CandidateFilter, Context, TypeFilter};
+use nck_core::context_rw::{ContextRw, MatchWorkspace};
 use nck_core::error::CoreError;
 use nck_core::findnc::{FindNc, SearchResult};
 use nck_core::parallel;
@@ -324,22 +324,23 @@ pub struct QueryEngine<G: GraphAccess + Sync> {
     ppr_workspaces: WorkspacePool,
 }
 
-/// A pool of scratch workspaces — PageRank (solo and blocked) and
-/// scoring-sweep — checked out around each computation and returned
-/// afterwards, so repeated queries, block fills and label sweeps
-/// allocate nothing in steady state (previously every query — and
-/// every single-flight leader inside it — allocated fresh scratch).
+/// A pool of scratch workspaces — PageRank (solo and blocked),
+/// ContextRW metapath matching and scoring-sweep — checked out around
+/// each computation and returned afterwards, so repeated queries, block
+/// fills, context selections and label sweeps reuse their scratch
+/// instead of allocating it per query (and per single-flight leader).
 ///
-/// All three pool mutexes are **leaves** of the engine's lock
+/// All four pool mutexes are **leaves** of the engine's lock
 /// hierarchy: each checkout/putback locks, pops or pushes, and releases
 /// before any computation or cache/flight call — a guard is never held
 /// across another acquisition (`nck-lint`'s lock-order rule classes
-/// them as `ppr_workspace_pool` / `scoring_workspace_pool` and would
-/// flag any nesting).
+/// them as `ppr_workspace_pool` / `match_workspace_pool` /
+/// `scoring_workspace_pool` and would flag any nesting).
 #[derive(Debug, Default)]
 struct WorkspacePool {
     solo: std::sync::Mutex<Vec<PprWorkspace>>,
     block: std::sync::Mutex<Vec<BlockPprWorkspace>>,
+    matching: std::sync::Mutex<Vec<MatchWorkspace>>,
     scoring: std::sync::Mutex<Vec<ScoringWorkspace>>,
 }
 
@@ -366,6 +367,18 @@ impl WorkspacePool {
 
     fn put_block(&self, ws: BlockPprWorkspace) {
         self.block.lock().expect("workspace pool lock").push(ws);
+    }
+
+    fn checkout_matching(&self) -> MatchWorkspace {
+        self.matching
+            .lock()
+            .expect("workspace pool lock")
+            .pop()
+            .unwrap_or_default()
+    }
+
+    fn put_matching(&self, ws: MatchWorkspace) {
+        self.matching.lock().expect("workspace pool lock").push(ws);
     }
 
     fn checkout_scoring(&self) -> ScoringWorkspace {
@@ -587,7 +600,15 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
                     let mut config = self.config.findnc.context.clone();
                     config.mining.walks = walks;
                     config.type_filter = type_filter;
-                    ContextRw::new(config).select(&self.graph, query, context_size)?
+                    let mut ws = self.ppr_workspaces.checkout_matching();
+                    let selected = ContextRw::new(config).select_with_metapaths_ws(
+                        &self.graph,
+                        query,
+                        context_size,
+                        &mut ws,
+                    );
+                    self.ppr_workspaces.put_matching(ws);
+                    selected?.0
                 }
                 Pipeline::RandomWalk {
                     context_size,

@@ -139,8 +139,14 @@ impl LintConfig {
                 // and never held across another acquisition.
                 LockClassSpec::mutex("engine/src/engine.rs", Some("solo"), "ppr_workspace_pool"),
                 LockClassSpec::mutex("engine/src/engine.rs", Some("block"), "ppr_workspace_pool"),
-                // The scoring-workspace pool: a leaf like the PPR pools,
-                // locked only to check a workspace out or put it back.
+                // The ContextRW matching and scoring-workspace pools:
+                // leaves like the PPR pools, locked only to check a
+                // workspace out or put it back.
+                LockClassSpec::mutex(
+                    "engine/src/engine.rs",
+                    Some("matching"),
+                    "match_workspace_pool",
+                ),
                 LockClassSpec::mutex(
                     "engine/src/engine.rs",
                     Some("scoring"),
@@ -154,6 +160,7 @@ impl LintConfig {
                 s("admission_queue"),
                 s("conn_writer"),
                 s("ppr_workspace_pool"),
+                s("match_workspace_pool"),
                 s("scoring_workspace_pool"),
             ],
             wire_files: vec![s("crates/api/src/"), s("crates/serve/src/wire.rs")],

@@ -428,43 +428,59 @@ fn cmd_gen(args: &[String]) -> ExitCode {
 // nck build-graph
 // ---------------------------------------------------------------------------
 
+/// Where `nck build-graph` takes its graph from.
+enum GraphSource {
+    Ntriples(String),
+    Scale(ScaleConfig),
+}
+
+/// `nck build-graph`'s arguments: the graph source and the output path.
+fn parse_build_graph(args: &mut Vec<String>) -> Result<(GraphSource, String), String> {
+    let input = take_flag(args, "--in")?;
+    let scale = take_flag(args, "--scale")?;
+    let out = take_flag(args, "--out")?.ok_or("--out is required")?;
+    let seed: u64 = match take_flag(args, "--seed")? {
+        Some(v) => parse_num(&v, "--seed")?,
+        None => 42,
+    };
+    if let Some(junk) = args.first() {
+        return Err(format!("unexpected argument {junk:?}"));
+    }
+    let source = match (input, scale) {
+        (Some(path), None) => GraphSource::Ntriples(path),
+        (None, Some(size)) => GraphSource::Scale(match size.as_str() {
+            "small" => ScaleConfig::small(seed),
+            "medium" => ScaleConfig::medium(seed),
+            "large" => ScaleConfig::large(seed),
+            _ => {
+                return Err(format!(
+                    "--scale must be small, medium or large, got {size:?}"
+                ))
+            }
+        }),
+        (Some(_), Some(_)) => return Err("--in and --scale are mutually exclusive".into()),
+        (None, None) => return Err("one of --in or --scale is required".into()),
+    };
+    Ok((source, out))
+}
+
 fn cmd_build_graph(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
-    let run = (|| -> Result<(), String> {
-        let input = take_flag(&mut args, "--in")?;
-        let scale = take_flag(&mut args, "--scale")?;
-        let out = take_flag(&mut args, "--out")?.ok_or("--out is required")?;
-        let seed: u64 = match take_flag(&mut args, "--seed")? {
-            Some(v) => parse_num(&v, "--seed")?,
-            None => 42,
-        };
-        if let Some(junk) = args.first() {
-            return Err(format!("unexpected argument {junk:?}"));
-        }
+    let (source, out) = match parse_build_graph(&mut args) {
+        Ok(parsed) => parsed,
+        Err(e) => return fail(&e),
+    };
+    exit_status((|| {
         let started = Instant::now();
-        let graph = match (input, scale) {
-            (Some(path), None) => {
+        let graph = match source {
+            GraphSource::Ntriples(path) => {
                 let file =
                     std::fs::File::open(&path).map_err(|e| format!("cannot open {path:?}: {e}"))?;
                 let store = read_ntriples(std::io::BufReader::new(file))
                     .map_err(|e| format!("cannot parse {path}: {e}"))?;
                 to_knowledge_graph(&store)
             }
-            (None, Some(size)) => {
-                let config = match size.as_str() {
-                    "small" => ScaleConfig::small(seed),
-                    "medium" => ScaleConfig::medium(seed),
-                    "large" => ScaleConfig::large(seed),
-                    _ => {
-                        return Err(format!(
-                            "--scale must be small, medium or large, got {size:?}"
-                        ))
-                    }
-                };
-                generate_scale(&config)
-            }
-            (Some(_), Some(_)) => return Err("--in and --scale are mutually exclusive".into()),
-            (None, None) => return Err("one of --in or --scale is required".into()),
+            GraphSource::Scale(config) => generate_scale(&config),
         };
         let build_secs = started.elapsed().as_secs_f64();
         let started = Instant::now();
@@ -478,11 +494,7 @@ fn cmd_build_graph(args: &[String]) -> ExitCode {
             started.elapsed().as_secs_f64()
         );
         Ok(())
-    })();
-    match run {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
+    })())
 }
 
 // ---------------------------------------------------------------------------

@@ -1,0 +1,56 @@
+//! `nck`'s exit statuses: an argument error exits 2 with the usage
+//! text, a run-time failure exits 1 with the error alone.
+
+#![forbid(unsafe_code)]
+
+use std::process::{Command, Output};
+
+fn nck(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_nck"))
+        .args(args)
+        .output()
+        .expect("nck runs")
+}
+
+fn prints_usage(out: &Output) -> bool {
+    String::from_utf8_lossy(&out.stderr).contains("USAGE:")
+}
+
+#[test]
+fn build_graph_run_failure_exits_1_without_usage() {
+    let missing = std::env::temp_dir().join(format!("nck-missing-{}.nt", std::process::id()));
+    let image = std::env::temp_dir().join(format!("nck-never-{}.nckg", std::process::id()));
+    let out = nck(&[
+        "build-graph",
+        "--in",
+        missing.to_str().unwrap(),
+        "--out",
+        image.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(!prints_usage(&out), "a run-time failure printed the usage");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot open"));
+    assert!(!image.exists());
+}
+
+#[test]
+fn build_graph_argument_errors_exit_2_with_usage() {
+    for args in [
+        &["build-graph", "--bogus", "x"][..],
+        &["build-graph", "--out", "g.nckg"],
+        &["build-graph", "--scale", "huge", "--out", "g.nckg"],
+        &[
+            "build-graph",
+            "--in",
+            "a.nt",
+            "--scale",
+            "small",
+            "--out",
+            "g.nckg",
+        ],
+    ] {
+        let out = nck(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(prints_usage(&out), "{args:?}: no usage text");
+    }
+}

@@ -11,18 +11,22 @@
 //!   significances **bit for bit** that `build_full` plus the configured
 //!   `MultinomialTest` give for that label alone, on the CSR,
 //!   triple-store and compact backends;
-//! - a one-worker cap must not change a bit of the ranking.
+//! - a one-worker cap must not change a bit of the ranking, and neither
+//!   may caps of 1, 2 or 16 workers on a query whose costliest label —
+//!   the one the workers pull first — has the highest label id.
 
 #![forbid(unsafe_code)]
 
 use notable_characteristics::api::rankings_equal;
 use notable_characteristics::core::config::FindNcConfig;
 use notable_characteristics::core::context::Context;
-use notable_characteristics::core::discrimination::{Discrimination, MultinomialDiscrimination};
+use notable_characteristics::core::discrimination::{
+    Discrimination, MultinomialDiscrimination, Trigger,
+};
 use notable_characteristics::core::distributions::{
     incident_labels, CardinalityBinning, InstanceSupport, LabelDistributions,
 };
-use notable_characteristics::core::findnc::FindNc;
+use notable_characteristics::core::findnc::{FindNc, NotableCharacteristic};
 use notable_characteristics::core::parallel;
 use notable_characteristics::core::query::Query;
 use notable_characteristics::core::sweep::{self, ScoringWorkspace};
@@ -274,4 +278,125 @@ proptest! {
             "a one-worker cap changed the swept ranking"
         );
     }
+}
+
+/// A scored label's id, δ, significance, inst and card significance bits,
+/// and trigger.
+type LabelBits = (usize, u64, Option<u64>, Option<u64>, Option<u64>, Trigger);
+
+/// Every scored label's bits, in ranking order.
+fn label_bits(
+    findnc: &FindNc,
+    graph: &KnowledgeGraph,
+    query: &Query,
+    context: &Context,
+) -> Vec<LabelBits> {
+    findnc
+        .discover_with_context(graph, query, context)
+        .unwrap()
+        .characteristics
+        .iter()
+        .map(|c| {
+            (
+                c.label.index(),
+                c.score.to_bits(),
+                c.significance.map(f64::to_bits),
+                c.inst_significance.map(f64::to_bits),
+                c.card_significance.map(f64::to_bits),
+                c.trigger,
+            )
+        })
+        .collect()
+}
+
+/// Workers pull labels costliest first and hand results back in label
+/// order. Here the costliest label (query observations × categories) is
+/// the last label id, so it runs first and is folded last; the ranking
+/// and every label's bits must not move under caps of 1, 2 and 16.
+#[test]
+fn costliest_first_scheduling_is_answer_invariant() {
+    let mut b = GraphBuilder::new();
+    let people: Vec<String> = (0..30).map(|i| format!("p{i}")).collect();
+    for (i, p) in people.iter().enumerate() {
+        b.add_triple(p, "bornIn", &format!("city{}", i % 4));
+        b.add_triple(p, "studied", if i < 2 { "physics" } else { "law" });
+        for c in 0..(i % 3) {
+            b.add_triple(p, "hasChild", &format!("{p}_child{c}"));
+        }
+    }
+    // Added last, so it takes the highest label id: 8 distinct works per
+    // query node (a Monte-Carlo test of 16 trials over 90 categories).
+    for (i, p) in people.iter().enumerate() {
+        let works = if i < 2 { 8 } else { 3 };
+        for w in 0..works {
+            b.add_triple(p, "zCreated", &format!("work{}", (i * 3 + w) % 90));
+        }
+    }
+    let g = b.build();
+    let query = Query::by_names(&g, ["p0", "p1"]).unwrap();
+    let context = context_for(&g, &people[2..], &query);
+    let findnc = FindNc::new(FindNcConfig {
+        mc_samples: 2_000,
+        ..FindNcConfig::default()
+    });
+    let result = findnc.discover_with_context(&g, &query, &context).unwrap();
+    let cost = |c: &NotableCharacteristic| {
+        let d = &c.distributions;
+        let card_q: u64 = d.card_q.iter().sum();
+        d.inst_q_total() * d.inst_c.len() as u64 + card_q * d.card_c.len() as u64
+    };
+    let costliest = result
+        .characteristics
+        .iter()
+        .max_by_key(|c| cost(c))
+        .unwrap();
+    let last = result
+        .characteristics
+        .iter()
+        .map(|c| c.label)
+        .max()
+        .unwrap();
+    assert_eq!(
+        costliest.label, last,
+        "the costliest label has the highest id"
+    );
+    assert_eq!(g.label_name(last), "zCreated");
+    // Each label carries its own test's bits, not a neighbour's.
+    let cfg = findnc.config();
+    let test = MultinomialDiscrimination::new(
+        MultinomialTest::new()
+            .with_alpha(cfg.alpha)
+            .unwrap()
+            .with_samples(cfg.mc_samples)
+            .with_seed(cfg.mc_seed),
+    );
+    for c in &result.characteristics {
+        let want = test.score(&c.distributions).unwrap();
+        assert_eq!(
+            (c.score.to_bits(), c.inst_significance.map(f64::to_bits)),
+            (
+                want.score.to_bits(),
+                want.inst_significance.map(f64::to_bits)
+            ),
+            "label {:?}",
+            c.label
+        );
+        assert_eq!(
+            c.card_significance.map(f64::to_bits),
+            want.card_significance.map(f64::to_bits)
+        );
+    }
+
+    let base = parallel::thread_cap();
+    parallel::set_thread_cap(Some(1));
+    let want = label_bits(&findnc, &g, &query, &context);
+    for cap in [2, 16] {
+        parallel::set_thread_cap(Some(cap));
+        assert_eq!(
+            label_bits(&findnc, &g, &query, &context),
+            want,
+            "a {cap}-worker cap moved a label's bits"
+        );
+    }
+    parallel::set_thread_cap(base);
 }
