@@ -11,16 +11,16 @@
 //! - an **error taxonomy** ([`ApiError`]) separating caller faults from
 //!   environment and pipeline faults, with a serializable wire form;
 //! - the **[`NckService`] façade**: built once over a dataset
-//!   (`NckService::builder().ntriples(path).backend(Backend::Store)
-//!   .engine(cfg).build()?`), it materializes the chosen backend behind a
-//!   runtime-erased [`nck_graph::ErasedGraph`] and answers single
+//!   (`NckService::builder().ntriples(path).backend(Backend::Compact)
+//!   .engine(cfg).build()?`), it materializes the chosen format behind
+//!   the closed [`nck_graph::ErasedGraph`] enum and answers single
 //!   queries, batches, streams and benchmark workloads through a shared
 //!   [`nck_engine::QueryEngine`].
 //!
 //! Backend choice is a *runtime* value here — the erasure layer
 //! ([`nck_graph::erased`]) keeps the whole generic pipeline intact, and
 //! the workspace's parity tests pin erased answers to be id-for-id
-//! identical to the concrete backends'.
+//! identical to the concrete formats'.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,23 +14,19 @@ use nck_graph::io::load_compact;
 use nck_graph::{CompactGraph, ErasedGraph, GraphAccess, GraphError, KnowledgeGraph};
 use nck_store::graph_view::to_knowledge_graph;
 use nck_store::ntriples::read_ntriples;
-use nck_store::{StoreGraph, TripleStore};
+use nck_store::TripleStore;
 use serde::{json, Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Which [`GraphAccess`] backend the service materializes its dataset
-/// into.
+/// Which graph format the service materializes its dataset into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Backend {
     /// The in-memory CSR [`KnowledgeGraph`] (fast traversals, full
     /// materialization).
     #[default]
     Csr,
-    /// [`StoreGraph`]: answers straight from the SPO/POS/OSP triple
-    /// indexes with a lazy per-predicate run cache.
-    Store,
     /// [`CompactGraph`]: delta/varint-encoded adjacency over
     /// degree-relabeled `u32` ids — roughly half the CSR backend's
     /// resident bytes, and loadable zero-copy from a compact binary file
@@ -39,12 +35,11 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// The backend's short name (`"csr"` / `"store"` / `"compact"`), as
-    /// printed by the CLI.
+    /// The backend's short name (`"csr"` / `"compact"`), as printed by
+    /// the CLI.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Csr => "csr",
-            Backend::Store => "store",
             Backend::Compact => "compact",
         }
     }
@@ -58,10 +53,7 @@ enum Source {
     CompactFile(PathBuf),
     Store(Box<TripleStore>),
     Csr(Box<KnowledgeGraph>),
-    Erased {
-        graph: ErasedGraph,
-        name: &'static str,
-    },
+    Erased(ErasedGraph),
 }
 
 /// Builder for [`NckService`] — see [`NckService::builder`].
@@ -104,9 +96,8 @@ impl NckServiceBuilder {
         self
     }
 
-    /// Uses an already-built CSR graph (the backend choice is then fixed
-    /// to [`Backend::Csr`] — the triples needed to build a `StoreGraph`
-    /// are not available).
+    /// Uses an already-built CSR graph. It can serve either backend: the
+    /// compact encoder is a pure function of the graph.
     pub fn knowledge_graph(mut self, graph: KnowledgeGraph) -> Self {
         self.source = Some(Source::Csr(Box::new(graph)));
         self
@@ -114,19 +105,17 @@ impl NckServiceBuilder {
 
     /// Uses any pre-erased backend as-is.
     pub fn erased(mut self, graph: ErasedGraph) -> Self {
-        self.source = Some(Source::Erased {
-            graph,
-            name: "erased",
-        });
+        self.source = Some(Source::Erased(graph));
         self
     }
 
     /// Selects the backend the dataset is materialized into (default:
-    /// [`Backend::Csr`]). Only triple-shaped sources
+    /// [`Backend::Csr`]). Triple-shaped sources
     /// ([`ntriples`](Self::ntriples) / [`triple_store`](Self::triple_store))
-    /// can honor a choice; combining an explicit backend with a source
-    /// that already fixes it ([`knowledge_graph`](Self::knowledge_graph)
-    /// to a different one, or any [`erased`](Self::erased) source) makes
+    /// and [`knowledge_graph`](Self::knowledge_graph) can honor either
+    /// choice; combining an explicit backend with a source that already
+    /// fixes it ([`compact_file`](Self::compact_file) with
+    /// [`Backend::Csr`], or any [`erased`](Self::erased) source) makes
     /// [`build`](Self::build) fail with [`ApiError::InvalidConfig`]
     /// instead of silently serving from something else.
     pub fn backend(mut self, backend: Backend) -> Self {
@@ -157,14 +146,12 @@ impl NckServiceBuilder {
                     path: path.clone(),
                     source,
                 })?;
-                let store =
-                    read_ntriples(std::io::BufReader::new(file)).map_err(|e| ApiError::Parse {
-                        path: path.clone(),
-                        message: e.to_string(),
-                    })?;
-                Some(store)
+                read_ntriples(std::io::BufReader::new(file)).map_err(|e| ApiError::Parse {
+                    path: path.clone(),
+                    message: e.to_string(),
+                })?
             }
-            Source::Store(store) => Some(*store),
+            Source::Store(store) => *store,
             Source::CompactFile(path) => {
                 if let Some(requested) = self.backend {
                     if requested != Backend::Compact {
@@ -188,84 +175,46 @@ impl NckServiceBuilder {
                     },
                 })?;
                 let load_secs = started.elapsed().as_secs_f64();
-                let mut service = Self::finish(
-                    ErasedGraph::new(graph),
-                    Backend::Compact.name(),
-                    self.engine,
-                )?;
+                let mut service = Self::finish(ErasedGraph::new(graph), self.engine)?;
                 service.load_secs = load_secs;
                 return Ok(service);
             }
             Source::Csr(graph) => {
-                match self.backend {
-                    Some(Backend::Store) => {
-                        return Err(ApiError::InvalidConfig(format!(
-                            "backend({:?}) conflicts with knowledge_graph(): \
-                             a pre-built CSR graph cannot serve the {} backend — \
-                             load triples (ntriples()/triple_store()) instead",
-                            Backend::Store,
-                            Backend::Store.name()
-                        )));
-                    }
-                    Some(Backend::Compact) => {
-                        // A pre-built CSR graph *can* serve compact: the
-                        // encoder is a pure function of the graph.
-                        let compact = CompactGraph::from_graph(&graph);
-                        return Self::finish(
-                            ErasedGraph::new(compact),
-                            Backend::Compact.name(),
-                            self.engine,
-                        );
-                    }
-                    Some(Backend::Csr) | None => {}
-                }
-                return Self::finish(ErasedGraph::new(*graph), Backend::Csr.name(), self.engine);
+                return Self::finish(materialize(*graph, self.backend), self.engine);
             }
-            Source::Erased { graph, name } => {
+            Source::Erased(graph) => {
                 if let Some(requested) = self.backend {
                     return Err(ApiError::InvalidConfig(format!(
                         "backend({requested:?}) conflicts with erased(): an erased \
                          source already fixes the backend"
                     )));
                 }
-                return Self::finish(graph, name, self.engine);
+                return Self::finish(graph, self.engine);
             }
         };
-        // lint: allow(panic_path) — every non-triple Source arm returned above, so `store` is always Some here
-        let store = store.expect("triple-shaped source");
         let started = Instant::now();
-        let (graph, name) = match self.backend.unwrap_or_default() {
-            Backend::Csr => (
-                ErasedGraph::new(to_knowledge_graph(&store)),
-                Backend::Csr.name(),
-            ),
-            Backend::Store => (
-                ErasedGraph::new(StoreGraph::new(store)),
-                Backend::Store.name(),
-            ),
-            Backend::Compact => (
-                ErasedGraph::new(CompactGraph::from_graph(&to_knowledge_graph(&store))),
-                Backend::Compact.name(),
-            ),
-        };
+        let graph = materialize(to_knowledge_graph(&store), self.backend);
         let load_secs = started.elapsed().as_secs_f64();
-        let mut service = Self::finish(graph, name, self.engine)?;
+        let mut service = Self::finish(graph, self.engine)?;
         service.load_secs = load_secs;
         Ok(service)
     }
 
-    fn finish(
-        graph: ErasedGraph,
-        backend_name: &'static str,
-        config: EngineConfig,
-    ) -> Result<NckService, ApiError> {
+    fn finish(graph: ErasedGraph, config: EngineConfig) -> Result<NckService, ApiError> {
         let engine = QueryEngine::new(graph.clone(), config)?;
         Ok(NckService {
             graph,
             engine,
-            backend_name,
             load_secs: 0.0,
         })
+    }
+}
+
+/// Serves `graph` in the requested format (default: [`Backend::Csr`]).
+fn materialize(graph: KnowledgeGraph, backend: Option<Backend>) -> ErasedGraph {
+    match backend.unwrap_or_default() {
+        Backend::Csr => ErasedGraph::new(graph),
+        Backend::Compact => ErasedGraph::new(CompactGraph::from_graph(&graph)),
     }
 }
 
@@ -308,7 +257,6 @@ impl NckServiceBuilder {
 pub struct NckService {
     graph: ErasedGraph,
     engine: QueryEngine<ErasedGraph>,
-    backend_name: &'static str,
     load_secs: f64,
 }
 
@@ -326,7 +274,7 @@ const _: () = {
 impl std::fmt::Debug for NckService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NckService")
-            .field("backend", &self.backend_name)
+            .field("backend", &self.backend_name())
             .field("num_nodes", &self.num_nodes())
             .field("num_stored_edges", &self.num_stored_edges())
             .finish_non_exhaustive()
@@ -349,10 +297,13 @@ impl NckService {
         &self.engine
     }
 
-    /// The short name of the materialized backend (`"csr"`, `"store"`,
-    /// `"compact"`, or `"erased"` for a pre-erased source).
+    /// The short name of the materialized backend (`"csr"` or
+    /// `"compact"`), read from the graph itself.
     pub fn backend_name(&self) -> &'static str {
-        self.backend_name
+        match self.graph {
+            ErasedGraph::Csr(_) => Backend::Csr.name(),
+            ErasedGraph::Compact(_) => Backend::Compact.name(),
+        }
     }
 
     /// Seconds spent materializing the backend (0 for pre-built sources).
@@ -484,17 +435,6 @@ impl NckService {
             workload.extend(base.iter().cloned());
         }
 
-        if request.mode == WorkloadMode::Compare {
-            // Level the substrate between the two timed phases: fault
-            // every per-predicate run into the store backend's shared
-            // cache now (a no-op on the CSR backend). Otherwise whichever
-            // phase runs first would absorb the one-time POS scans and
-            // skew the reported speedup.
-            for label in self.graph.labels().iter() {
-                self.graph.warm_predicate(label);
-            }
-        }
-
         let mut engine_secs = None;
         let mut sequential_secs = None;
         let mut engine_results: Option<Vec<Arc<SearchResult>>> = None;
@@ -507,9 +447,7 @@ impl NckService {
             // the "engine" side look arbitrarily fast), and flushing the
             // shared engine instead would trash the serving caches of a
             // live service. A fresh engine also makes the counters
-            // per-workload by construction. Backend-level state (the
-            // store's per-predicate runs) is shared by design and leveled
-            // above for compare mode.
+            // per-workload by construction.
             let engine = QueryEngine::new(self.graph.clone(), self.engine.config().clone())?;
             let started = Instant::now();
             let results = if request.chunk > 0 {

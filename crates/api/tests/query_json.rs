@@ -173,11 +173,6 @@ fn query_json_matches_query_on_csr() {
 }
 
 #[test]
-fn query_json_matches_query_on_store() {
-    answers_match(Backend::Store);
-}
-
-#[test]
 fn query_json_matches_query_on_compact() {
     answers_match(Backend::Compact);
 }

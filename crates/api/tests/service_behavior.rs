@@ -145,19 +145,35 @@ fn builder_rejects_contradictory_backend() {
         b.add_triple("a", "knows", "b");
         b.build()
     };
-    // knowledge_graph() + backend(Store): contradiction.
+    // compact_file() + backend(Csr): contradiction — the file is the
+    // compact backend.
+    let image = std::env::temp_dir().join(format!(
+        "nck-contradictory-backend-{}.nckg",
+        std::process::id()
+    ));
+    nck_graph::io::save_compact(&g(), &image).unwrap();
     let err = NckService::builder()
-        .knowledge_graph(g())
-        .backend(Backend::Store)
+        .compact_file(&image)
+        .backend(Backend::Csr)
         .build()
         .unwrap_err();
     assert!(matches!(err, ApiError::InvalidConfig(_)), "{err}");
-    // knowledge_graph() + backend(Csr): consistent, allowed.
-    assert!(NckService::builder()
-        .knowledge_graph(g())
-        .backend(Backend::Csr)
-        .build()
-        .is_ok());
+    // compact_file() + backend(Compact): consistent, allowed.
+    let served = NckService::builder()
+        .compact_file(&image)
+        .backend(Backend::Compact)
+        .build();
+    std::fs::remove_file(&image).ok();
+    assert_eq!(served.unwrap().backend_name(), "compact");
+    // knowledge_graph() can serve either backend.
+    for backend in [Backend::Csr, Backend::Compact] {
+        let service = NckService::builder()
+            .knowledge_graph(g())
+            .backend(backend)
+            .build()
+            .unwrap();
+        assert_eq!(service.backend_name(), backend.name());
+    }
     // erased() fixes the backend; any explicit choice is rejected.
     let err = NckService::builder()
         .erased(ErasedGraph::new(g()))

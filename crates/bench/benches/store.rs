@@ -1,10 +1,8 @@
-//! Triple-store micro-benches: bulk load and pattern scans.
+//! N-Triples loader micro-bench: bulk load into the SPO-ordered store.
 
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nck_store::dictionary::Term;
-use nck_store::triple::TriplePattern;
 use nck_store::TripleStore;
 
 fn build_store(n: usize) -> TripleStore {
@@ -23,15 +21,6 @@ fn bench_store(c: &mut Criterion) {
     for n in [10_000usize, 50_000] {
         group.bench_with_input(BenchmarkId::new("bulk_load", n), &n, |b, &n| {
             b.iter(|| build_store(n))
-        });
-        let store = build_store(n);
-        let p = store.term_id(&Term::iri("p3")).unwrap();
-        group.bench_with_input(BenchmarkId::new("scan_by_predicate", n), &n, |b, _| {
-            b.iter(|| store.scan(&TriplePattern::with_p(p)).count())
-        });
-        let s = store.term_id(&Term::iri("s1")).unwrap();
-        group.bench_with_input(BenchmarkId::new("scan_by_subject", n), &n, |b, _| {
-            b.iter(|| store.scan(&TriplePattern::with_s(s)).count())
         });
     }
     group.finish();

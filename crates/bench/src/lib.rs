@@ -3,7 +3,7 @@
 //! The benches regenerate the paper's timing figures (5 and 6) with
 //! statistical rigor and micro-benchmark every hot path (PPR iterations,
 //! PathMining walks, metapath matching, multinomial tests, distribution
-//! building, triple-store scans). Run with `cargo bench -p nck-bench`.
+//! building, N-Triples bulk loading). Run with `cargo bench -p nck-bench`.
 
 #![forbid(unsafe_code)]
 

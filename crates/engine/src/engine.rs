@@ -48,12 +48,10 @@
 //! duplicate work concurrency avoided.
 //!
 //! Batches are planned by [`crate::schedule`]: exact repeats (same seed
-//! list, same pipeline key) are executed once and fanned back out,
+//! list, same pipeline key) are executed once and fanned back out, and
 //! distinct queries are clustered around their hottest shared seed so
-//! cache hits land before evictions, and the backend's per-predicate
-//! runs ([`GraphAccess::warm_predicate`]) are faulted in up front. Groups
-//! then execute across worker threads via the same fork-join helper the
-//! pipeline itself uses.
+//! cache hits land before evictions. Groups then execute across worker
+//! threads via the same fork-join helper the pipeline itself uses.
 
 use crate::cache::{CacheStats, ShardedLru};
 use crate::flight::SingleFlight;
@@ -68,7 +66,7 @@ use nck_core::ppr::{BlockPprWorkspace, EdgeWeights, PersonalizedPageRank, PprWor
 use nck_core::query::Query;
 use nck_core::score::ScoreVec;
 use nck_core::sweep::ScoringWorkspace;
-use nck_graph::{EdgeLabelId, GraphAccess, NodeId};
+use nck_graph::{GraphAccess, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -711,9 +709,8 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         self.weights.get().cloned()
     }
 
-    /// Executes a batch: plans it (dedup + seed clustering), warms the
-    /// backend's predicate runs, prefills the PPR cache through the
-    /// blocked multi-seed kernel (RandomWalk groups with at least two
+    /// Executes a batch: plans it (dedup + seed clustering), prefills the
+    /// PPR cache through the blocked multi-seed kernel (RandomWalk groups with at least two
     /// distinct seed misses), runs the distinct groups across worker
     /// threads, and fans results back out to input order.
     /// `results[i]` answers `queries[i]`; the first failing group (in
@@ -746,7 +743,6 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         let plan = schedule::plan(&keys);
         self.deduplicated
             .fetch_add(plan.deduplicated() as u64, Ordering::Relaxed);
-        self.warm_batch_predicates(&plan, &keys);
         self.prefill_ppr_blocks(&plan, &keys);
         let groups = &plan.groups;
         // Chunk order is preserved by the fold, so per-group results come
@@ -907,24 +903,6 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         for (key, v) in filled {
             let cost = v.approx_bytes();
             self.ppr_cache.insert_with_cost(key, v, cost);
-        }
-    }
-
-    /// Faults the per-predicate runs of every label incident to the
-    /// batch's seed nodes into the backend's cache (the engine-side half
-    /// of the cache shared with `StoreGraph`'s lazy run cache; a no-op on
-    /// fully materialized backends).
-    fn warm_batch_predicates(&self, plan: &schedule::BatchPlan, keys: &[Key]) {
-        let mut seeds: BTreeSet<NodeId> = BTreeSet::new();
-        for group in &plan.groups {
-            seeds.extend(&keys[group.representative].0);
-        }
-        let mut labels: BTreeSet<EdgeLabelId> = BTreeSet::new();
-        for &seed in &seeds {
-            labels.extend(self.graph.labels_of(seed));
-        }
-        for label in labels {
-            self.graph.warm_predicate(label);
         }
     }
 

@@ -22,8 +22,7 @@
 //! - **[`schedule`]** — the deterministic batch planner: exact repeats
 //!   collapse to one execution, distinct queries cluster around their
 //!   hottest shared seed so cache hits land before evictions;
-//! - **[`engine`]** — [`QueryEngine`] itself: plans, warms the backend's
-//!   per-predicate runs ([`GraphAccess::warm_predicate`]), prefills a
+//! - **[`engine`]** — [`QueryEngine`] itself: plans, prefills a
 //!   RandomWalk batch's distinct PPR misses through the blocked kernel,
 //!   executes groups across worker threads, and fans results back out. It derives
 //!   the Eq.-1 weight table at most once: at construction in RandomWalk
@@ -69,7 +68,6 @@
 //! ```
 //!
 //! [`FindNc::discover`]: nck_core::findnc::FindNc::discover
-//! [`GraphAccess::warm_predicate`]: nck_graph::GraphAccess::warm_predicate
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,13 +3,14 @@
 //! The paper runs its algorithms against an Apache Jena triple store
 //! ("quick traversals on the graph without loading it into main memory"),
 //! while the reference substrate here is an in-memory CSR. [`GraphAccess`]
-//! is the seam between the two: it captures exactly the read surface the
-//! search pipeline uses — node/edge iteration, per-label neighbor runs,
-//! label and degree statistics, names, types and the taxonomy — so every
-//! algorithm in `nck-core` is generic over the backend. The CSR
-//! [`KnowledgeGraph`] is the reference
-//! implementation; `nck-store` provides `StoreGraph`, which answers the
-//! same surface directly from SPO/POS/OSP triple indexes.
+//! captures exactly the read surface the search pipeline uses —
+//! node/edge iteration, per-label neighbor runs, label and degree
+//! statistics, names, types and the taxonomy — so every algorithm in
+//! `nck-core` is generic over the graph format. The CSR
+//! [`KnowledgeGraph`] is the reference implementation;
+//! [`CompactGraph`](crate::CompactGraph) answers the same surface from a
+//! delta-encoded image that can stay on disk, memory-mapped — this
+//! repository's counterpart of the paper's not-in-memory store.
 //!
 //! # Contract
 //!
@@ -176,18 +177,6 @@ pub trait GraphAccess {
         self.labels().name(label)
     }
 
-    /// Hints that `label`'s adjacency is about to be read heavily, so a
-    /// lazily materializing backend can fault its per-predicate run in
-    /// now (once, up front) instead of on first touch inside a query.
-    ///
-    /// The default is a no-op — fully materialized backends like the CSR
-    /// [`KnowledgeGraph`] have nothing to warm.
-    /// `nck-store`'s `StoreGraph` overrides it to build the label's run
-    /// in its shared per-predicate cache; batch executors (the `nck-engine`
-    /// scheduler) call it for every predicate incident to a batch's seed
-    /// entities before fanning queries out across threads.
-    fn warm_predicate(&self, _label: EdgeLabelId) {}
-
     /// Relative frequency `|E_l| / |E|` of `label` over stored edges;
     /// Eq. 1 weights a transition by `1 − frequency`.
     fn label_frequency(&self, label: EdgeLabelId) -> f64 {
@@ -263,10 +252,6 @@ impl<G: GraphAccess> GraphAccess for &G {
 
     fn label_count(&self, label: EdgeLabelId) -> u64 {
         G::label_count(self, label)
-    }
-
-    fn warm_predicate(&self, label: EdgeLabelId) {
-        G::warm_predicate(self, label)
     }
 
     fn approx_bytes(&self) -> usize {

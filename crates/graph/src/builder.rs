@@ -177,10 +177,10 @@ impl GraphBuilder {
 /// `(source, label, target)` and deduplicated (lexical collapsing can
 /// alias logical edges). Returns the stored edges and per-label counts.
 ///
-/// Both [`GraphBuilder::build`] and `nck-store`'s `StoreGraph` derive
-/// their stored-edge statistics from this function, which is what keeps
-/// the two backends id-for-id interchangeable.
-pub fn close_under_inversion(
+/// [`GraphBuilder::build`] derives the CSR from this function, and the
+/// compact image is encoded from that CSR, which is what keeps the two
+/// formats id-for-id interchangeable.
+fn close_under_inversion(
     labels: &EdgeLabelRegistry,
     logical: &[(NodeId, EdgeLabelId, NodeId)],
 ) -> (Vec<(NodeId, EdgeLabelId, NodeId)>, Vec<u64>) {

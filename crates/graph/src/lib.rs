@@ -6,12 +6,11 @@
 //! attributes (birth dates, prize names, …) are themselves nodes attached
 //! through labeled edges. This crate is that substrate:
 //!
-//! - [`access`] — the backend-generic [`GraphAccess`] trait every
-//!   algorithm crate programs against (the CSR graph here and the
-//!   triple-store-backed `StoreGraph` in `nck-store` both implement it);
-//! - [`erased`] — runtime backend dispatch: the object-safe
-//!   [`DynGraphAccess`] mirror and the [`ErasedGraph`] adapter that turns
-//!   `Arc<dyn DynGraphAccess>` back into a [`GraphAccess`] backend;
+//! - [`access`] — the format-generic [`GraphAccess`] trait every
+//!   algorithm crate programs against (the CSR [`KnowledgeGraph`] and the
+//!   [`CompactGraph`] image both implement it);
+//! - [`erased`] — runtime format choice: [`ErasedGraph`], a closed enum
+//!   over the two formats that itself implements [`GraphAccess`];
 //! - [`ids`] — compact `u32` identifiers for nodes, node types and edge
 //!   labels (the graph is fully dictionary-encoded);
 //! - [`interner`] — the string dictionary;
@@ -52,7 +51,7 @@ pub mod varint;
 pub use access::GraphAccess;
 pub use builder::GraphBuilder;
 pub use compact::CompactGraph;
-pub use erased::{DynGraphAccess, ErasedGraph};
+pub use erased::ErasedGraph;
 pub use error::GraphError;
 pub use graph::KnowledgeGraph;
 pub use ids::{EdgeLabelId, NodeId, NodeTypeId};

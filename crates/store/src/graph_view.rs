@@ -5,6 +5,9 @@
 //! predicates become edge labels (with automatic inverses per Def. 1),
 //! literals become attribute-value nodes, and the reserved predicates
 //! `rdf:type` / `rdfs:subClassOf` populate node types and the taxonomy.
+//! Statements are read in the store's SPO order, which fixes the node
+//! and label ids the graph (and the compact image encoded from it)
+//! answers with.
 
 use crate::dictionary::Term;
 use crate::store::TripleStore;
@@ -45,8 +48,8 @@ pub fn to_knowledge_graph(store: &TripleStore) -> KnowledgeGraph {
 /// triple store (the inverse of [`to_knowledge_graph`]).
 ///
 /// Only forward (logical) edges are written — the Def.-1 inverse mirrors
-/// are reconstructed by whichever backend later reads the store. Node
-/// types become `rdf:type` statements and taxonomy axioms become
+/// are reconstructed when [`to_knowledge_graph`] reads the store back.
+/// Node types become `rdf:type` statements and taxonomy axioms become
 /// `rdfs:subClassOf` statements.
 ///
 /// Re-importing with [`to_knowledge_graph`] reproduces the same graph
@@ -55,15 +58,16 @@ pub fn to_knowledge_graph(store: &TripleStore) -> KnowledgeGraph {
 /// first-mention order when a node's edges interleave labels (the CSR
 /// iterates them label-sorted). Compare round trips by *name*, never by
 /// source-graph `NodeId` — in particular, resolve datagen query seeds
-/// by name after persisting with `nck gen`. (Both backends reading the
-/// *same* store still agree with each other id for id.)
+/// by name after persisting with `nck gen`. (Loading the *same* store
+/// always assigns the same ids, and the compact image encoded from the
+/// loaded graph keeps them.)
 ///
 /// One class of nodes does not survive: an **isolated, untyped node**
 /// (no edges in either direction, no `rdf:type`) appears in no
 /// statement — triples cannot express a bare node — so it is absent
 /// from the export and from any re-import.
 /// Used by the `nck gen` CLI to persist datagen graphs as N-Triples and
-/// by the backend-parity tests.
+/// by the format-parity tests.
 pub fn to_triple_store(graph: &KnowledgeGraph) -> TripleStore {
     let mut store = TripleStore::new();
     for v in graph.nodes() {

@@ -1,22 +1,22 @@
-//! # nck-store — triple-store substrate
+//! # nck-store — the N-Triples loader
 //!
 //! The paper's experimental setup loads YAGO and LinkedMDB into an Apache
 //! Jena triple store *"to perform quick traversals on the graph without
-//! loading it into main memory"*. This crate reproduces the access paths
-//! that workload needs, in Rust:
+//! loading it into main memory"*. Here triples are only a load format:
+//! this crate parses them and hands them to the two graph formats that
+//! serve queries, the CSR [`nck_graph::KnowledgeGraph`] and the compact
+//! image [`nck_graph::CompactGraph`] (which `nck build-graph` writes and
+//! the service memory-maps — the counterpart of the paper's
+//! not-in-memory store).
 //!
 //! - [`dictionary`] — term dictionary mapping IRIs/literals ↔ dense ids;
-//! - [`triple`] — dictionary-encoded triples and match patterns;
-//! - [`index`] — the three orderings (SPO, POS, OSP) every bound/unbound
-//!   pattern combination can be answered from with a range scan;
-//! - [`store`] — the [`TripleStore`] facade: insert, remove, pattern
-//!   queries, bulk load;
+//! - [`triple`] — dictionary-encoded triples;
+//! - [`store`] — the [`TripleStore`] loader: the dictionary plus one
+//!   deduplicated set of statements in SPO order;
 //! - [`ntriples`] — an N-Triples-subset parser and writer;
-//! - [`store_graph`] — [`StoreGraph`], a [`nck_graph::GraphAccess`]
-//!   backend answering the algorithm crates' surface directly from the
-//!   indexes with a lazy per-predicate cache (no materialization);
-//! - [`graph_view`] — adapter materializing a [`nck_graph::KnowledgeGraph`]
-//!   from the store (the optional fast path when memory allows).
+//! - [`graph_view`] — the hand-off materializing a
+//!   [`nck_graph::KnowledgeGraph`] from the store, with node ids assigned
+//!   in SPO order, and its inverse.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,14 +24,11 @@
 pub mod dictionary;
 pub mod error;
 pub mod graph_view;
-pub mod index;
 pub mod ntriples;
 pub mod store;
-pub mod store_graph;
 pub mod triple;
 
 pub use dictionary::{Term, TermDictionary, TermId};
 pub use error::StoreError;
 pub use store::TripleStore;
-pub use store_graph::StoreGraph;
-pub use triple::{Triple, TriplePattern};
+pub use triple::Triple;

@@ -174,10 +174,7 @@ mod tests {
     fn parses_literals_with_escapes() {
         let input = br#"<Merkel> <quote> "wir \"schaffen\" das\n" ."#;
         let s = read_ntriples(&input[..]).unwrap();
-        let obj: Vec<_> = s
-            .query_decoded(Some(&Term::iri("Merkel")), None, None)
-            .map(|st| st.o.clone())
-            .collect();
+        let obj: Vec<_> = s.iter().map(|t| s.decode(t).o.clone()).collect();
         assert_eq!(obj, vec![Term::literal("wir \"schaffen\" das\n")]);
     }
 

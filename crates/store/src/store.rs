@@ -1,22 +1,25 @@
-//! The [`TripleStore`] facade.
+//! The [`TripleStore`] loader.
 //!
-//! Combines the term dictionary and the three index orderings behind a
-//! string-friendly API: callers insert `(subject, predicate, object)`
-//! statements as [`Term`]s and query with optional constraints; all
-//! internal work happens on dictionary ids.
+//! Holds the term dictionary and one deduplicated set of statements in
+//! SPO order: callers insert `(subject, predicate, object)` statements as
+//! [`Term`]s, and [`iter`](TripleStore::iter) yields them back as
+//! dictionary ids sorted by subject, then predicate, then object.
+//! [`crate::graph_view::to_knowledge_graph`] assigns node ids in that
+//! order, so the order is part of every N-Triples-loaded answer.
 
-use crate::dictionary::{Term, TermDictionary, TermId};
-use crate::index::TripleIndexes;
-use crate::triple::{Triple, TriplePattern};
+use crate::dictionary::{Term, TermDictionary};
+use crate::triple::Triple;
+use std::collections::BTreeSet;
 
-/// An in-memory, dictionary-encoded triple store with SPO/POS/OSP indexes.
+/// An in-memory, dictionary-encoded set of statements, iterated in SPO
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct TripleStore {
     dict: TermDictionary,
-    indexes: TripleIndexes,
+    spo: BTreeSet<Triple>,
 }
 
-/// A decoded query answer.
+/// A decoded statement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Statement<'a> {
     /// Subject term.
@@ -35,32 +38,17 @@ impl TripleStore {
 
     /// Number of stored triples.
     pub fn len(&self) -> usize {
-        self.indexes.len()
+        self.spo.len()
     }
 
     /// True when the store holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.indexes.is_empty()
+        self.spo.is_empty()
     }
 
     /// Number of distinct terms in the dictionary.
     pub fn num_terms(&self) -> usize {
         self.dict.len()
-    }
-
-    /// Interns a term, returning its id.
-    pub fn intern(&mut self, term: &Term) -> TermId {
-        self.dict.intern(term)
-    }
-
-    /// The id of `term`, if known.
-    pub fn term_id(&self, term: &Term) -> Option<TermId> {
-        self.dict.get(term)
-    }
-
-    /// The term behind `id`, if valid.
-    pub fn term(&self, id: TermId) -> Option<&Term> {
-        self.dict.resolve(id)
     }
 
     /// Inserts a statement; returns `true` when it was new.
@@ -70,7 +58,7 @@ impl TripleStore {
             self.dict.intern(p),
             self.dict.intern(o),
         );
-        self.indexes.insert(t)
+        self.spo.insert(t)
     }
 
     /// Inserts a statement of three IRIs (the common bulk-load shape).
@@ -78,66 +66,17 @@ impl TripleStore {
         self.insert(&Term::iri(s), &Term::iri(p), &Term::iri(o))
     }
 
-    /// Removes a statement; returns `true` when it was present.
-    pub fn remove(&mut self, s: &Term, p: &Term, o: &Term) -> bool {
-        match (self.dict.get(s), self.dict.get(p), self.dict.get(o)) {
-            (Some(s), Some(p), Some(o)) => self.indexes.remove(Triple::new(s, p, o)),
-            _ => false,
-        }
-    }
-
     /// Membership test.
     pub fn contains(&self, s: &Term, p: &Term, o: &Term) -> bool {
         match (self.dict.get(s), self.dict.get(p), self.dict.get(o)) {
-            (Some(s), Some(p), Some(o)) => self.indexes.contains(Triple::new(s, p, o)),
+            (Some(s), Some(p), Some(o)) => self.spo.contains(&Triple::new(s, p, o)),
             _ => false,
         }
     }
 
-    /// Streams id-level triples matching a pattern of optional terms.
-    ///
-    /// A constraint on a term that is not in the dictionary matches
-    /// nothing (the empty iterator), mirroring SQL's empty result rather
-    /// than an error.
-    pub fn query<'a>(
-        &'a self,
-        s: Option<&Term>,
-        p: Option<&Term>,
-        o: Option<&Term>,
-    ) -> Box<dyn Iterator<Item = Triple> + 'a> {
-        let resolve = |t: Option<&Term>| -> Result<Option<TermId>, ()> {
-            match t {
-                None => Ok(None),
-                Some(term) => match self.dict.get(term) {
-                    Some(id) => Ok(Some(id)),
-                    None => Err(()),
-                },
-            }
-        };
-        match (resolve(s), resolve(p), resolve(o)) {
-            (Ok(s), Ok(p), Ok(o)) => self.indexes.scan(&TriplePattern::new(s, p, o)),
-            _ => Box::new(std::iter::empty()),
-        }
-    }
-
-    /// Streams decoded statements matching a pattern.
-    pub fn query_decoded<'a>(
-        &'a self,
-        s: Option<&Term>,
-        p: Option<&Term>,
-        o: Option<&Term>,
-    ) -> impl Iterator<Item = Statement<'a>> + 'a {
-        self.query(s, p, o).map(move |t| self.decode(t))
-    }
-
-    /// Streams id-level triples for an id-level pattern.
-    pub fn scan<'a>(&'a self, pattern: &TriplePattern) -> Box<dyn Iterator<Item = Triple> + 'a> {
-        self.indexes.scan(pattern)
-    }
-
-    /// Iterates every triple (SPO order).
+    /// Iterates every triple in SPO order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.indexes.iter()
+        self.spo.iter().copied()
     }
 
     /// Decodes an id triple into terms.
@@ -151,14 +90,6 @@ impl TripleStore {
             p: self.dict.resolve(t.p).expect("foreign predicate id"),
             o: self.dict.resolve(t.o).expect("foreign object id"),
         }
-    }
-
-    /// Distinct predicates in use (by scanning; intended for tooling).
-    pub fn predicates(&self) -> Vec<TermId> {
-        let mut out: Vec<TermId> = self.iter().map(|t| t.p).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 
@@ -181,27 +112,18 @@ mod tests {
     }
 
     #[test]
-    fn insert_query_remove_cycle() {
+    fn insert_deduplicates_and_contains_finds() {
         let mut s = politicians();
+        assert_eq!(s.len(), 5);
+        assert!(!s.insert_iris("Merkel", "studied", "Physics"));
         assert_eq!(s.len(), 5);
         assert!(s.contains(
             &Term::iri("Merkel"),
             &Term::iri("studied"),
             &Term::iri("Physics")
         ));
-        assert!(s.remove(
-            &Term::iri("Merkel"),
-            &Term::iri("studied"),
-            &Term::iri("Physics")
-        ));
+        // A statement over an unknown term is absent.
         assert!(!s.contains(
-            &Term::iri("Merkel"),
-            &Term::iri("studied"),
-            &Term::iri("Physics")
-        ));
-        assert_eq!(s.len(), 4);
-        // Removing a triple with unknown terms is a no-op.
-        assert!(!s.remove(
             &Term::iri("Nobody"),
             &Term::iri("studied"),
             &Term::iri("Physics")
@@ -209,63 +131,25 @@ mod tests {
     }
 
     #[test]
-    fn query_by_subject() {
-        let s = politicians();
-        let results: Vec<_> = s
-            .query_decoded(Some(&Term::iri("Hollande")), None, None)
-            .map(|st| st.o.lexical().to_owned())
-            .collect();
-        assert_eq!(results.len(), 2);
-        assert!(results.contains(&"Thomas".to_owned()));
-        assert!(results.contains(&"Flora".to_owned()));
-    }
-
-    #[test]
-    fn query_by_predicate_and_object() {
-        let s = politicians();
-        let studied_law: Vec<_> = s
-            .query_decoded(None, Some(&Term::iri("studied")), Some(&Term::iri("Law")))
-            .map(|st| st.s.lexical().to_owned())
-            .collect();
-        assert_eq!(studied_law, vec!["Putin".to_owned()]);
-    }
-
-    #[test]
-    fn unknown_term_matches_nothing() {
-        let s = politicians();
-        assert_eq!(s.query(Some(&Term::iri("Ghost")), None, None).count(), 0);
-    }
-
-    #[test]
     fn literals_are_distinct_from_iris() {
         let s = politicians();
-        // birthDate object is a literal; querying the IRI form finds nothing.
-        assert_eq!(
-            s.query(None, None, Some(&Term::iri("1954-07-17"))).count(),
-            0
-        );
-        assert_eq!(
-            s.query(None, None, Some(&Term::literal("1954-07-17")))
-                .count(),
-            1
-        );
+        let (merkel, born) = (Term::iri("Merkel"), Term::iri("birthDate"));
+        assert!(!s.contains(&merkel, &born, &Term::iri("1954-07-17")));
+        assert!(s.contains(&merkel, &born, &Term::literal("1954-07-17")));
     }
 
     #[test]
-    fn predicates_deduplicated() {
+    fn iteration_is_in_spo_order_not_insertion_order() {
         let s = politicians();
-        let preds: Vec<String> = s
-            .predicates()
-            .into_iter()
-            .map(|id| s.term(id).unwrap().lexical().to_owned())
-            .collect();
-        assert_eq!(preds.len(), 3);
-    }
-
-    #[test]
-    fn full_scan_covers_everything() {
-        let s = politicians();
-        assert_eq!(s.iter().count(), s.len());
-        assert_eq!(s.query(None, None, None).count(), s.len());
+        let all: Vec<Triple> = s.iter().collect();
+        assert_eq!(all.len(), s.len());
+        assert!(all.windows(2).all(|w| w[0] < w[1]));
+        // Merkel's birth date was inserted last, but Merkel's subject id
+        // is the smallest, so both of Merkel's statements come first.
+        let subjects: Vec<&str> = all.iter().map(|&t| s.decode(t).s.lexical()).collect();
+        assert_eq!(
+            subjects,
+            ["Merkel", "Merkel", "Putin", "Hollande", "Hollande"]
+        );
     }
 }

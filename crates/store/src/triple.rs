@@ -1,9 +1,11 @@
-//! Dictionary-encoded triples and match patterns.
+//! Dictionary-encoded triples.
 
 use crate::dictionary::TermId;
 use serde::{Deserialize, Serialize};
 
-/// A dictionary-encoded `(subject, predicate, object)` statement.
+/// A dictionary-encoded `(subject, predicate, object)` statement. The
+/// derived order is lexicographic by subject, predicate, object — the SPO
+/// order [`crate::TripleStore`] iterates in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Triple {
     /// Subject term.
@@ -21,118 +23,12 @@ impl Triple {
     }
 }
 
-/// A triple pattern: each position is either bound to a term or a wildcard.
-///
-/// The eight bound/unbound combinations map onto the three index orderings
-/// (SPO / POS / OSP) so that the bound positions always form a prefix of
-/// some ordering — every pattern is a contiguous range scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct TriplePattern {
-    /// Subject constraint.
-    pub s: Option<TermId>,
-    /// Predicate constraint.
-    pub p: Option<TermId>,
-    /// Object constraint.
-    pub o: Option<TermId>,
-}
-
-impl TriplePattern {
-    /// Matches every triple.
-    pub const ANY: TriplePattern = TriplePattern {
-        s: None,
-        p: None,
-        o: None,
-    };
-
-    /// Pattern with the given constraints.
-    pub const fn new(s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> Self {
-        Self { s, p, o }
-    }
-
-    /// `(s, ?, ?)`
-    pub const fn with_s(s: TermId) -> Self {
-        Self::new(Some(s), None, None)
-    }
-
-    /// `(?, p, ?)`
-    pub const fn with_p(p: TermId) -> Self {
-        Self::new(None, Some(p), None)
-    }
-
-    /// `(?, ?, o)`
-    pub const fn with_o(o: TermId) -> Self {
-        Self::new(None, None, Some(o))
-    }
-
-    /// `(s, p, ?)`
-    pub const fn with_sp(s: TermId, p: TermId) -> Self {
-        Self::new(Some(s), Some(p), None)
-    }
-
-    /// `(?, p, o)`
-    pub const fn with_po(p: TermId, o: TermId) -> Self {
-        Self::new(None, Some(p), Some(o))
-    }
-
-    /// `(s, ?, o)`
-    pub const fn with_so(s: TermId, o: TermId) -> Self {
-        Self::new(Some(s), None, Some(o))
-    }
-
-    /// Fully bound pattern (an existence check).
-    pub const fn exact(t: Triple) -> Self {
-        Self::new(Some(t.s), Some(t.p), Some(t.o))
-    }
-
-    /// Whether `t` satisfies this pattern.
-    pub fn matches(&self, t: &Triple) -> bool {
-        self.s.is_none_or(|s| s == t.s)
-            && self.p.is_none_or(|p| p == t.p)
-            && self.o.is_none_or(|o| o == t.o)
-    }
-
-    /// Number of bound positions (0–3).
-    pub fn bound_count(&self) -> usize {
-        usize::from(self.s.is_some())
-            + usize::from(self.p.is_some())
-            + usize::from(self.o.is_some())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
         Triple::new(TermId(s), TermId(p), TermId(o))
-    }
-
-    #[test]
-    fn any_matches_everything() {
-        assert!(TriplePattern::ANY.matches(&t(1, 2, 3)));
-        assert_eq!(TriplePattern::ANY.bound_count(), 0);
-    }
-
-    #[test]
-    fn single_position_patterns() {
-        let triple = t(1, 2, 3);
-        assert!(TriplePattern::with_s(TermId(1)).matches(&triple));
-        assert!(!TriplePattern::with_s(TermId(9)).matches(&triple));
-        assert!(TriplePattern::with_p(TermId(2)).matches(&triple));
-        assert!(TriplePattern::with_o(TermId(3)).matches(&triple));
-    }
-
-    #[test]
-    fn compound_patterns() {
-        let triple = t(1, 2, 3);
-        assert!(TriplePattern::with_sp(TermId(1), TermId(2)).matches(&triple));
-        assert!(TriplePattern::with_po(TermId(2), TermId(3)).matches(&triple));
-        assert!(TriplePattern::with_so(TermId(1), TermId(3)).matches(&triple));
-        assert!(!TriplePattern::with_so(TermId(1), TermId(9)).matches(&triple));
-        let exact = TriplePattern::exact(triple);
-        assert!(exact.matches(&triple));
-        assert_eq!(exact.bound_count(), 3);
-        assert!(!exact.matches(&t(1, 2, 4)));
     }
 
     #[test]

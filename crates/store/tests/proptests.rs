@@ -4,7 +4,6 @@
 
 use nck_store::dictionary::Term;
 use nck_store::ntriples::{read_ntriples, write_ntriples};
-use nck_store::triple::TriplePattern;
 use nck_store::TripleStore;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -41,43 +40,22 @@ proptest! {
     }
 
     #[test]
-    fn every_pattern_agrees_with_naive_filter(stmts in statements()) {
+    fn iteration_is_sorted_and_complete(stmts in statements()) {
         let mut store = TripleStore::new();
         for (s, p, o) in &stmts {
             store.insert(s, p, o);
         }
         let all: Vec<_> = store.iter().collect();
-        // Exercise patterns derived from actual triples (and ANY).
-        let mut patterns = vec![TriplePattern::ANY];
-        for t in all.iter().take(5) {
-            patterns.push(TriplePattern::with_s(t.s));
-            patterns.push(TriplePattern::with_p(t.p));
-            patterns.push(TriplePattern::with_o(t.o));
-            patterns.push(TriplePattern::with_sp(t.s, t.p));
-            patterns.push(TriplePattern::with_po(t.p, t.o));
-            patterns.push(TriplePattern::with_so(t.s, t.o));
-            patterns.push(TriplePattern::exact(*t));
-        }
-        for pattern in patterns {
-            let mut expected: Vec<_> = all.iter().copied().filter(|t| pattern.matches(t)).collect();
-            let mut got: Vec<_> = store.scan(&pattern).collect();
-            expected.sort();
-            got.sort();
-            prop_assert_eq!(got, expected, "pattern {:?}", pattern);
-        }
-    }
-
-    #[test]
-    fn insert_then_remove_restores_absence(stmts in statements()) {
-        let mut store = TripleStore::new();
-        for (s, p, o) in &stmts {
-            store.insert(s, p, o);
-        }
-        for (s, p, o) in &stmts {
-            store.remove(s, p, o);
-        }
-        prop_assert!(store.is_empty());
-        prop_assert_eq!(store.iter().count(), 0);
+        prop_assert!(all.windows(2).all(|w| w[0] < w[1]), "not in strict SPO order");
+        let decoded: BTreeSet<_> = all
+            .iter()
+            .map(|&t| {
+                let st = store.decode(t);
+                (st.s.clone(), st.p.clone(), st.o.clone())
+            })
+            .collect();
+        let distinct: BTreeSet<_> = stmts.iter().cloned().collect();
+        prop_assert_eq!(decoded, distinct);
     }
 
     #[test]

@@ -61,7 +61,7 @@ query/batch options:
   --graph-format nt|compact graph file format (default: nt). compact files
                             (from nck build-graph) open zero-copy and fix
                             the backend to compact
-  --backend csr|store|compact   graph backend (default: csr)
+  --backend csr|compact     graph backend (default: csr)
   --selector contextrw|randomwalk   context selector (default: contextrw)
   --type-filter common|query|none   candidate type filter (default: common)
   --context-size N          context size |C| (default: 100)
@@ -208,13 +208,8 @@ fn parse_run_opts(args: &mut Vec<String>) -> Result<RunOpts, String> {
     if let Some(v) = take_flag(args, "--backend")? {
         o.backend = Some(match v.as_str() {
             "csr" => Backend::Csr,
-            "store" => Backend::Store,
             "compact" => Backend::Compact,
-            _ => {
-                return Err(format!(
-                    "--backend must be csr, store or compact, got {v:?}"
-                ))
-            }
+            _ => return Err(format!("--backend must be csr or compact, got {v:?}")),
         });
     }
     if let Some(v) = take_flag(args, "--selector")? {
@@ -356,29 +351,52 @@ fn request_for_line(line: &str, top: usize) -> QueryRequest {
 // nck gen
 // ---------------------------------------------------------------------------
 
+/// `nck gen`'s arguments.
+struct GenArgs {
+    config: GeneratorConfig,
+    out: String,
+    queries_out: Option<String>,
+}
+
+fn parse_gen(args: &mut Vec<String>) -> Result<GenArgs, String> {
+    let kind = take_flag(args, "--kind")?.ok_or("--kind is required")?;
+    let out = take_flag(args, "--out")?.ok_or("--out is required")?;
+    let seed: u64 = match take_flag(args, "--seed")? {
+        Some(v) => parse_num(&v, "--seed")?,
+        None => 42,
+    };
+    let scale: f64 = match take_flag(args, "--scale")? {
+        Some(v) => parse_num(&v, "--scale")?,
+        None => 1.0,
+    };
+    let queries_out = take_flag(args, "--queries-out")?;
+    if let Some(junk) = args.first() {
+        return Err(format!("unexpected argument {junk:?}"));
+    }
+    let config = match kind.as_str() {
+        "tiny" => GeneratorConfig::tiny(seed),
+        "yago" => GeneratorConfig::yago_like(seed).scaled(scale),
+        "lmdb" => GeneratorConfig::linkedmdb_like(seed).scaled(scale),
+        _ => return Err(format!("--kind must be tiny, yago or lmdb, got {kind:?}")),
+    };
+    Ok(GenArgs {
+        config,
+        out,
+        queries_out,
+    })
+}
+
 fn cmd_gen(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
-    let parsed = (|| -> Result<(), String> {
-        let kind = take_flag(&mut args, "--kind")?.ok_or("--kind is required")?;
-        let out = take_flag(&mut args, "--out")?.ok_or("--out is required")?;
-        let seed: u64 = match take_flag(&mut args, "--seed")? {
-            Some(v) => parse_num(&v, "--seed")?,
-            None => 42,
-        };
-        let scale: f64 = match take_flag(&mut args, "--scale")? {
-            Some(v) => parse_num(&v, "--scale")?,
-            None => 1.0,
-        };
-        let queries_out = take_flag(&mut args, "--queries-out")?;
-        if let Some(junk) = args.first() {
-            return Err(format!("unexpected argument {junk:?}"));
-        }
-        let config = match kind.as_str() {
-            "tiny" => GeneratorConfig::tiny(seed),
-            "yago" => GeneratorConfig::yago_like(seed).scaled(scale),
-            "lmdb" => GeneratorConfig::linkedmdb_like(seed).scaled(scale),
-            _ => return Err(format!("--kind must be tiny, yago or lmdb, got {kind:?}")),
-        };
+    let GenArgs {
+        config,
+        out,
+        queries_out,
+    } = match parse_gen(&mut args) {
+        Ok(parsed) => parsed,
+        Err(e) => return fail(&e),
+    };
+    exit_status((|| {
         let started = Instant::now();
         let dataset = generate(&config);
         let store = to_triple_store(&dataset.graph);
@@ -417,11 +435,7 @@ fn cmd_gen(args: &[String]) -> ExitCode {
             eprintln!("wrote {n} query sets to {qpath}");
         }
         Ok(())
-    })();
-    match parsed {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
+    })())
 }
 
 // ---------------------------------------------------------------------------
@@ -862,21 +876,35 @@ mod tests {
     }
 
     #[test]
-    fn backend_accepts_compact_and_names_the_choices_on_error() {
+    fn backend_accepts_csr_and_compact_and_names_the_choices_on_error() {
         let mut a = args(&["--backend", "compact"]);
         assert_eq!(
             parse_run_opts(&mut a).unwrap().backend,
             Some(Backend::Compact)
         );
+        let mut a = args(&["--backend", "csr"]);
+        assert_eq!(parse_run_opts(&mut a).unwrap().backend, Some(Backend::Csr));
         let mut a = args(&[]);
         assert_eq!(
             parse_run_opts(&mut a).unwrap().backend,
             None,
             "only an explicit --backend is recorded"
         );
-        let mut a = args(&["--backend", "jena"]);
-        let err = parse_run_opts(&mut a).unwrap_err();
-        assert!(err.contains("csr, store or compact"), "{err}");
+        for gone in ["jena", "store"] {
+            let mut a = args(&["--backend", gone]);
+            let err = parse_run_opts(&mut a).unwrap_err();
+            assert!(err.contains("must be csr or compact"), "{err}");
+        }
+        // A usage error: exit 2, before any file is opened.
+        let query = args(&[
+            "--graph",
+            "missing.nt",
+            "--query",
+            "A",
+            "--backend",
+            "store",
+        ]);
+        assert_eq!(cmd_query(&query), ExitCode::from(2));
     }
 
     #[test]

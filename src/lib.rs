@@ -21,15 +21,15 @@
 //!   [`QueryRequest`](api::QueryRequest)s, batches, streams and
 //!   benchmark workloads through one stable request/response schema,
 //!   with the backend chosen at runtime;
-//! - [`graph`] — knowledge-graph substrate: the dictionary-encoded CSR
-//!   [`KnowledgeGraph`](graph::KnowledgeGraph), the backend-generic
+//! - [`graph`] — knowledge-graph substrate: the two graph formats (the
+//!   dictionary-encoded CSR [`KnowledgeGraph`](graph::KnowledgeGraph)
+//!   and the compact, memory-mappable
+//!   [`CompactGraph`](graph::CompactGraph)), the format-generic
 //!   [`GraphAccess`](graph::GraphAccess) trait the algorithms run
-//!   against, and the [`ErasedGraph`](graph::ErasedGraph) runtime-erasure
-//!   adapter the service layer builds on;
-//! - [`store`] — triple-store substrate (SPO/POS/OSP indexes), including
-//!   [`StoreGraph`](store::StoreGraph), the `GraphAccess` backend that
-//!   answers traversals straight from the indexes without materializing
-//!   the graph;
+//!   against, and the [`ErasedGraph`](graph::ErasedGraph) enum over both
+//!   formats that the service layer builds on;
+//! - [`store`] — the N-Triples loader: a term dictionary and SPO-ordered
+//!   statements, handed to the graph formats;
 //! - [`serve`] — the socket front door: `nck serve` puts the service
 //!   behind length-prefixed framed JSON over TCP, with bounded admission,
 //!   per-request deadlines and graceful drain — answers are id-for-id
@@ -107,8 +107,7 @@ pub mod prelude {
     pub use nck_core::score::{ScoreVec, SparseWorkspace};
     pub use nck_engine::{EngineConfig, QueryEngine, SelectorMode};
     pub use nck_graph::{
-        DynGraphAccess, EdgeLabelId, ErasedGraph, GraphAccess, GraphBuilder, KnowledgeGraph, NodeId,
+        EdgeLabelId, ErasedGraph, GraphAccess, GraphBuilder, KnowledgeGraph, NodeId,
     };
     pub use nck_stats::MultinomialTest;
-    pub use nck_store::StoreGraph;
 }

@@ -3,8 +3,8 @@
 //!
 //! - every lane of `run_block` must be **bit-for-bit** identical to a
 //!   solo `frontier_outcome` run of that lane's seed — scores, dropped
-//!   mass and the reported `l1_bound` alike — on the CSR, triple-store
-//!   and compact backends;
+//!   mass and the reported `l1_bound` alike — on the CSR and compact
+//!   backends;
 //! - block width is invisible in the answer: any chunking of the seeds
 //!   into `run_block` calls (`B = 1`, `B` larger than the seed set,
 //!   duplicate seeds in one block), with the blocks run in sequence or
@@ -18,8 +18,6 @@ use notable_characteristics::core::ppr::{BlockPprWorkspace, PersonalizedPageRank
 use notable_characteristics::core::score::ScoreVec;
 use notable_characteristics::graph::builder::GraphBuilder;
 use notable_characteristics::graph::{CompactGraph, GraphAccess, KnowledgeGraph, NodeId};
-use notable_characteristics::store::graph_view::to_triple_store;
-use notable_characteristics::store::StoreGraph;
 use proptest::prelude::*;
 
 /// One generated case: triples over a small universe, a seed list
@@ -41,8 +39,8 @@ fn build(triples: &[(u8, u8, u8)]) -> KnowledgeGraph {
     for &(s, p, o) in triples {
         b.add_triple(&format!("n{s}"), &format!("p{p}"), &format!("n{o}"));
     }
-    // Every seed pick must resolve — on the triple-store backend too,
-    // which only materializes nodes that occur in a triple.
+    // Every seed pick must resolve, so every candidate node occurs in a
+    // triple.
     for i in 0..24 {
         b.add_triple(&format!("n{i}"), "exists", "universe");
     }
@@ -99,15 +97,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// ε = 0: each blocked lane is its solo frontier run, bit for bit,
-    /// on all three backends (the store and compact backends intern
-    /// their own node ids, so each is resolved and checked in its own
-    /// id space).
+    /// on both backends (each resolves the seeds by name and is checked
+    /// in its own id space).
     #[test]
     fn blocked_lanes_match_solo_on_every_backend((ts, seeds, _w, low) in cases()) {
         let kg = build(&ts);
         let names: Vec<String> = seeds.iter().map(|i| format!("n{i}")).collect();
         let cfg = config(low, 0.0);
-        assert_block_parity(StoreGraph::new(to_triple_store(&kg)), &names, cfg.clone());
         assert_block_parity(CompactGraph::from_graph(&kg), &names, cfg.clone());
         assert_block_parity(kg, &names, cfg);
     }

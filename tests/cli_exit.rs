@@ -54,3 +54,43 @@ fn build_graph_argument_errors_exit_2_with_usage() {
         assert!(prints_usage(&out), "{args:?}: no usage text");
     }
 }
+
+#[test]
+fn gen_run_failure_exits_1_without_usage() {
+    let out_path = std::env::temp_dir()
+        .join(format!("nck-no-such-dir-{}", std::process::id()))
+        .join("x.nt");
+    let out = nck(&["gen", "--kind", "tiny", "--out", out_path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(!prints_usage(&out), "a run-time failure printed the usage");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot create"));
+}
+
+#[test]
+fn gen_argument_errors_exit_2_with_usage() {
+    for args in [
+        &["gen", "--kind", "bogus", "--out", "x.nt"][..],
+        &["gen", "--out", "x.nt"],
+        &["gen", "--kind", "tiny", "--out", "x.nt", "--seed", "many"],
+    ] {
+        let out = nck(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(prints_usage(&out), "{args:?}: no usage text");
+    }
+}
+
+#[test]
+fn removed_store_backend_is_an_argument_error() {
+    let out = nck(&[
+        "query",
+        "--graph",
+        "missing.nt",
+        "--query",
+        "A",
+        "--backend",
+        "store",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(prints_usage(&out), "no usage text");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--backend must be csr or compact"));
+}

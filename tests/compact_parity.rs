@@ -1,5 +1,5 @@
 //! Compact-backend exactness: `CompactGraph` must answer id-for-id
-//! identically to the CSR `KnowledgeGraph` and `StoreGraph` — at the
+//! identically to the CSR `KnowledgeGraph` — at the
 //! `GraphAccess` level on the Figure-1 graph, and through the full
 //! engine pipeline on a datagen dataset — and its on-disk image must be
 //! byte-stable for a fixed seed (the golden-file contract the zero-copy
@@ -19,7 +19,6 @@ use notable_characteristics::graph::compact::encode_compact;
 use notable_characteristics::graph::io::{load_compact, save_compact};
 use notable_characteristics::graph::{CompactGraph, GraphAccess, GraphBuilder, KnowledgeGraph};
 use notable_characteristics::store::graph_view::{to_knowledge_graph, to_triple_store};
-use notable_characteristics::store::StoreGraph;
 
 fn pipeline_config() -> FindNcConfig {
     FindNcConfig {
@@ -108,18 +107,16 @@ fn assert_access_parity<A: GraphAccess, B: GraphAccess>(label: &str, a: &A, b: &
 }
 
 #[test]
-fn compact_matches_csr_and_store_on_figure1() {
+fn compact_matches_csr_on_figure1() {
     let kg = figure1();
     let compact = CompactGraph::from_graph(&kg);
     assert_access_parity("figure1 compact-vs-csr", &compact, &kg);
 
-    // The store derives node ids from triple order, so compare against a
-    // CSR graph and compact image rebuilt from the same store ordering.
-    let store = to_triple_store(&kg);
-    let aligned = to_knowledge_graph(&store);
-    let compact2 = CompactGraph::from_graph(&aligned);
-    let sg = StoreGraph::new(store);
-    assert_access_parity("figure1 compact-vs-store", &compact2, &sg);
+    // Loading triples assigns node ids in the store's SPO order, so the
+    // image encoded from a loaded graph must keep that graph's ids.
+    let loaded = to_knowledge_graph(&to_triple_store(&kg));
+    let compact2 = CompactGraph::from_graph(&loaded);
+    assert_access_parity("figure1 compact-vs-loaded-csr", &compact2, &loaded);
 }
 
 fn assert_identical(label: &str, a: &SearchResult, b: &SearchResult) {
@@ -154,17 +151,15 @@ fn seed_pairs(dataset: &notable_characteristics::datagen::Dataset) -> Vec<Vec<St
 }
 
 /// Full pipeline parity on a datagen dataset: the engine over
-/// `CompactGraph` answers bit-identically to the engine and the
-/// sequential baseline over the CSR and store backends.
+/// `CompactGraph` answers bit-identically to the sequential baseline
+/// over it and to the engine over the CSR backend.
 #[test]
-fn engine_results_identical_across_all_three_backends() {
+fn engine_results_identical_across_both_backends() {
     let dataset = generate(&GeneratorConfig::tiny(13));
     let names = seed_pairs(&dataset);
-    let store = to_triple_store(&dataset.graph);
-    let kg = to_knowledge_graph(&store);
+    let kg = to_knowledge_graph(&to_triple_store(&dataset.graph));
     let compact = CompactGraph::from_graph(&kg);
     assert_access_parity("datagen compact-vs-csr", &compact, &kg);
-    let sg = StoreGraph::new(store);
 
     let config = EngineConfig {
         findnc: pipeline_config(),
@@ -185,14 +180,11 @@ fn engine_results_identical_across_all_three_backends() {
         assert_identical("compact batched-vs-sequential", batched, &sequential);
     }
 
-    // Cross-backend: compact vs CSR vs store, id for id.
-    let kg_engine = QueryEngine::new(&kg, config.clone()).expect("engine builds");
+    // Cross-backend: compact vs CSR, id for id.
+    let kg_engine = QueryEngine::new(&kg, config).expect("engine builds");
     let kg_results = kg_engine.run_batch(&queries).expect("csr batch");
-    let sg_engine = QueryEngine::new(&sg, config).expect("engine builds");
-    let sg_results = sg_engine.run_batch(&queries).expect("store batch");
-    for ((c, k), s) in compact_results.iter().zip(&kg_results).zip(&sg_results) {
+    for (c, k) in compact_results.iter().zip(&kg_results) {
         assert_identical("compact-vs-csr", c, k);
-        assert_identical("compact-vs-store", c, s);
     }
 }
 

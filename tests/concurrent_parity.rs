@@ -180,22 +180,9 @@ fn concurrent_engine_matches_sequential_on_csr() {
 }
 
 #[test]
-fn concurrent_engine_matches_sequential_on_store() {
-    use notable_characteristics::store::StoreGraph;
-    let dataset = generate(&GeneratorConfig::tiny(13));
-    let store = to_triple_store(&dataset.graph);
-    let sg = StoreGraph::new(store);
-    stress_engine("store", &sg, engine_config());
-}
-
-#[test]
 fn concurrent_engine_matches_sequential_under_one_entry_per_shard() {
-    use notable_characteristics::store::StoreGraph;
     let dataset = generate(&GeneratorConfig::tiny(13));
     stress_engine("csr/tight", &dataset.graph, one_entry_per_shard_config());
-    let store = to_triple_store(&dataset.graph);
-    let sg = StoreGraph::new(store);
-    stress_engine("store/tight", &sg, one_entry_per_shard_config());
 }
 
 #[test]
@@ -226,7 +213,7 @@ fn concurrent_randomwalk_matches_sequential_and_builds_weights_once() {
 fn concurrent_service_matches_fresh_sequential_service_on_both_backends() {
     let dataset = generate(&GeneratorConfig::tiny(13));
     let mix = query_mix(&dataset);
-    for backend in [Backend::Csr, Backend::Store] {
+    for backend in [Backend::Csr, Backend::Compact] {
         let build = || {
             NckService::builder()
                 .triple_store(to_triple_store(&dataset.graph))

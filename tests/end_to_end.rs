@@ -172,15 +172,15 @@ fn selectors_disagree_on_context_composition() {
 }
 
 // ---------------------------------------------------------------------------
-// Backend parity: the same pipeline over the materialized CSR graph and the
-// index-backed StoreGraph must rank the same notable characteristics.
+// Backend parity: the same pipeline over the CSR graph loaded from triples
+// and the compact image encoded from it must rank the same notable
+// characteristics.
 // ---------------------------------------------------------------------------
 
-use notable_characteristics::graph::GraphAccess;
+use notable_characteristics::graph::{CompactGraph, GraphAccess};
 use notable_characteristics::store::graph_view::{
     to_triple_store, SUBTYPE_PREDICATE, TYPE_PREDICATE,
 };
-use notable_characteristics::store::StoreGraph;
 
 /// `(label name, δ score, significance)` rows of a projected ranking.
 type NamedRanking = Vec<(String, f64, Option<f64>)>;
@@ -270,7 +270,7 @@ fn backends_rank_identically_on_figure1() {
     store.insert_iris("politician", SUBTYPE_PREDICATE, "person");
 
     let kg = to_knowledge_graph(&store);
-    let sg = StoreGraph::new(store);
+    let cg = CompactGraph::from_graph(&kg);
 
     // Fixed-context discrimination (no sampling in context selection).
     let query_names = ["Merkel".to_owned(), "Obama".to_owned()];
@@ -285,10 +285,10 @@ fn backends_rank_identically_on_figure1() {
     let kr = FindNc::new(config.clone())
         .discover_with_context(&kg, &kq, &kc)
         .unwrap();
-    let sq = Query::by_names(&sg, &query_names).unwrap();
-    let sc = Context::from_names(&sg, &context_names).unwrap();
-    let sr = FindNc::new(config)
-        .discover_with_context(&sg, &sq, &sc)
+    let cq = Query::by_names(&cg, &query_names).unwrap();
+    let cc = Context::from_names(&cg, &context_names).unwrap();
+    let cr = FindNc::new(config)
+        .discover_with_context(&cg, &cq, &cc)
         .unwrap();
     let project = |r: &SearchResult, g: &dyn Fn(EdgeLabelId) -> String| {
         r.characteristics
@@ -297,8 +297,8 @@ fn backends_rank_identically_on_figure1() {
             .collect::<Vec<_>>()
     };
     let ka = project(&kr, &|l| kg.label_name(l).to_owned());
-    let sa = project(&sr, &|l| GraphAccess::label_name(&sg, l).to_owned());
-    assert_rankings_match(&(vec![], ka.clone()), &(vec![], sa.clone()));
+    let ca = project(&cr, &|l| GraphAccess::label_name(&cg, l).to_owned());
+    assert_rankings_match(&(vec![], ka.clone()), &(vec![], ca));
     assert!(
         ka.iter().any(|(l, s, _)| l == "studied" && *s > 0.0),
         "Figure-1 headline must be notable on both backends: {ka:?}"
@@ -321,7 +321,7 @@ fn backends_rank_identically_on_figure1() {
         ..FindNcConfig::default()
     };
     let a = ranked_by_name(&kg, &query_names, config.clone());
-    let b = ranked_by_name(&sg, &query_names, config);
+    let b = ranked_by_name(&cg, &query_names, config);
     assert!(!a.0.is_empty(), "mined context must not be empty");
     assert_rankings_match(&a, &b);
 }
@@ -338,11 +338,10 @@ fn backends_rank_identically_on_generated_dataset() {
         .map(|n| dataset.graph.node_name(n).to_owned())
         .collect();
 
-    let store = to_triple_store(&dataset.graph);
-    let kg = to_knowledge_graph(&store);
-    let sg = StoreGraph::new(store);
+    let kg = to_knowledge_graph(&to_triple_store(&dataset.graph));
+    let cg = CompactGraph::from_graph(&kg);
     assert_eq!(
-        GraphAccess::num_nodes(&sg),
+        GraphAccess::num_nodes(&cg),
         KnowledgeGraph::num_nodes(&kg),
         "backends must agree on the node universe"
     );
@@ -363,7 +362,7 @@ fn backends_rank_identically_on_generated_dataset() {
         ..FindNcConfig::default()
     };
     let a = ranked_by_name(&kg, &query_names, config.clone());
-    let b = ranked_by_name(&sg, &query_names, config);
+    let b = ranked_by_name(&cg, &query_names, config);
     assert!(!a.0.is_empty(), "mined context must not be empty");
     assert!(!a.1.is_empty(), "characteristics must be scored");
     assert_rankings_match(&a, &b);

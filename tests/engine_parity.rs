@@ -10,9 +10,8 @@ use notable_characteristics::core::findnc::{FindNc, SearchResult};
 use notable_characteristics::core::query::Query;
 use notable_characteristics::datagen::{generate, DomainId, GeneratorConfig};
 use notable_characteristics::engine::{EngineConfig, QueryEngine};
-use notable_characteristics::graph::GraphAccess;
+use notable_characteristics::graph::{CompactGraph, GraphAccess};
 use notable_characteristics::store::graph_view::{to_knowledge_graph, to_triple_store};
-use notable_characteristics::store::StoreGraph;
 
 fn pipeline_config() -> FindNcConfig {
     FindNcConfig {
@@ -99,39 +98,32 @@ fn seed_pairs(dataset: &notable_characteristics::datagen::Dataset) -> Vec<Vec<St
 fn engine_matches_sequential_on_both_backends() {
     let dataset = generate(&GeneratorConfig::tiny(13));
     let names = seed_pairs(&dataset);
-    let store = to_triple_store(&dataset.graph);
-    let kg = to_knowledge_graph(&store);
-    let sg = StoreGraph::new(store);
+    let kg = to_knowledge_graph(&to_triple_store(&dataset.graph));
+    let cg = CompactGraph::from_graph(&kg);
 
     let config = EngineConfig {
         findnc: pipeline_config(),
         ..EngineConfig::default()
     };
     let kg_engine = check_backend("csr", &kg, &names, config.clone());
-    let sg_engine = check_backend("store", &sg, &names, config);
+    let cg_engine = check_backend("compact", &cg, &names, config);
 
     // The batch dedups the repeated half of the workload on both.
     assert_eq!(kg_engine.stats().deduplicated, 4);
-    assert_eq!(sg_engine.stats().deduplicated, 4);
-    // Batch warming faulted the seeds' predicate runs into the store's
-    // shared per-predicate cache before execution.
-    assert!(
-        sg.cached_runs() > 0,
-        "warm_predicate must populate the store's run cache"
-    );
+    assert_eq!(cg_engine.stats().deduplicated, 4);
 
     // And the two backends agree with each other, id for id.
     let kq = workload(&kg, &names);
-    let sq = workload(&sg, &names);
+    let cq = workload(&cg, &names);
     let kr = kg_engine.run_batch(&kq).unwrap();
-    let sr = sg_engine.run_batch(&sq).unwrap();
-    for (a, b) in kr.iter().zip(&sr) {
+    let cr = cg_engine.run_batch(&cq).unwrap();
+    for (a, b) in kr.iter().zip(&cr) {
         assert_identical("cross-backend", a, b);
     }
 }
 
-/// The runtime-erasure layer is exact: `ErasedGraph(csr)` and
-/// `ErasedGraph(store)` answer id-for-id identically to their generic
+/// The runtime-erasure layer is exact: `ErasedGraph::Csr` and
+/// `ErasedGraph::Compact` answer id-for-id identically to their generic
 /// counterparts — through the engine, against the sequential baseline,
 /// and across each other.
 #[test]
@@ -141,11 +133,10 @@ fn erased_backends_match_generic_backends() {
 
     let dataset = generate(&GeneratorConfig::tiny(13));
     let names = seed_pairs(&dataset);
-    let store = Arc::new(to_triple_store(&dataset.graph));
-    let kg = to_knowledge_graph(&store);
-    let sg = Arc::new(StoreGraph::new(Arc::clone(&store)));
+    let kg = to_knowledge_graph(&to_triple_store(&dataset.graph));
+    let cg = Arc::new(CompactGraph::from_graph(&kg));
     let erased_kg = ErasedGraph::new(kg.clone());
-    let erased_sg = ErasedGraph::from_arc(Arc::clone(&sg));
+    let erased_cg = ErasedGraph::Compact(Arc::clone(&cg));
 
     let config = EngineConfig {
         findnc: pipeline_config(),
@@ -154,31 +145,24 @@ fn erased_backends_match_generic_backends() {
 
     // Erased engines vs sequential runs *over the erased graphs*.
     let ekg_engine = check_backend("erased/csr", &erased_kg, &names, config.clone());
-    let esg_engine = check_backend("erased/store", &erased_sg, &names, config.clone());
-
-    // Erasure forwards warm_predicate: batch warming must still fault the
-    // store's shared per-predicate run cache.
-    assert!(
-        sg.cached_runs() > 0,
-        "erased warm_predicate must reach the store's run cache"
-    );
+    let ecg_engine = check_backend("erased/compact", &erased_cg, &names, config.clone());
 
     // Erased vs generic, id for id, on both backends.
     let kg_engine = check_backend("csr", &kg, &names, config.clone());
-    let sg_engine = check_backend("store", &*sg, &names, config);
+    let cg_engine = check_backend("compact", &*cg, &names, config);
     let queries_kg = workload(&kg, &names);
     let generic_kg = kg_engine.run_batch(&queries_kg).unwrap();
     let erased_kg_results = ekg_engine.run_batch(&workload(&erased_kg, &names)).unwrap();
     for (a, b) in generic_kg.iter().zip(&erased_kg_results) {
         assert_identical("erased-vs-generic/csr", a, b);
     }
-    let generic_sg = sg_engine.run_batch(&workload(&*sg, &names)).unwrap();
-    let erased_sg_results = esg_engine.run_batch(&workload(&erased_sg, &names)).unwrap();
-    for (a, b) in generic_sg.iter().zip(&erased_sg_results) {
-        assert_identical("erased-vs-generic/store", a, b);
+    let generic_cg = cg_engine.run_batch(&workload(&*cg, &names)).unwrap();
+    let erased_cg_results = ecg_engine.run_batch(&workload(&erased_cg, &names)).unwrap();
+    for (a, b) in generic_cg.iter().zip(&erased_cg_results) {
+        assert_identical("erased-vs-generic/compact", a, b);
     }
     // And the two erased backends agree with each other.
-    for (a, b) in erased_kg_results.iter().zip(&erased_sg_results) {
+    for (a, b) in erased_kg_results.iter().zip(&erased_cg_results) {
         assert_identical("erased-cross-backend", a, b);
     }
 }
@@ -187,9 +171,8 @@ fn erased_backends_match_generic_backends() {
 fn eviction_under_pressure_keeps_results_exact() {
     let dataset = generate(&GeneratorConfig::tiny(13));
     let names = seed_pairs(&dataset);
-    let store = to_triple_store(&dataset.graph);
-    let kg = to_knowledge_graph(&store);
-    let sg = StoreGraph::new(store);
+    let kg = to_knowledge_graph(&to_triple_store(&dataset.graph));
+    let cg = CompactGraph::from_graph(&kg);
 
     // Caches one entry deep: every distinct query evicts its
     // predecessor, so the second replay recomputes everything.
@@ -205,5 +188,5 @@ fn eviction_under_pressure_keeps_results_exact() {
         kg_engine.stats().result.evictions > 0,
         "one-deep caches must evict under an 8-query workload"
     );
-    check_backend("store/tight", &sg, &names, tight);
+    check_backend("compact/tight", &cg, &names, tight);
 }

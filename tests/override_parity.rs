@@ -6,7 +6,7 @@
 //! `RandomWalkSelector` for RandomWalk. That oracle is exactly how
 //! overridden requests used to be answered, outside the caches.
 //!
-//! Pinned on all three backends, under both engine selectors, through
+//! Pinned on both backends, under both engine selectors, through
 //! `query`, `batch` (plain and overridden requests mixed) and `stream`,
 //! for each override field alone and for mixed sets, errors included
 //! (same code, same message); plus the cache behavior the one path buys
@@ -33,7 +33,7 @@ use notable_characteristics::graph::{ErasedGraph, GraphAccess};
 use notable_characteristics::store::graph_view::to_triple_store;
 use std::sync::{Arc, Barrier};
 
-const BACKENDS: [Backend; 3] = [Backend::Csr, Backend::Store, Backend::Compact];
+const BACKENDS: [Backend; 2] = [Backend::Csr, Backend::Compact];
 const SELECTORS: [SelectorMode; 2] = [SelectorMode::ContextRw, SelectorMode::RandomWalk];
 
 fn engine_config(selector: SelectorMode) -> EngineConfig {

@@ -2,9 +2,9 @@
 //! reference:
 //!
 //! - `epsilon = 0`: the frontier iteration must be **bit-for-bit**
-//!   identical to the dense power iteration, on the CSR backend, the
-//!   triple-store backend, and both behind [`ErasedGraph`] — any
-//!   divergence breaks the engine's exact-parity contract.
+//!   identical to the dense power iteration, on the CSR backend and on
+//!   both backends behind [`ErasedGraph`] — any divergence breaks the
+//!   engine's exact-parity contract.
 //! - `epsilon > 0`: the pruned iteration must stay within the
 //!   epsilon-derived L1 bound the run itself reports
 //!   (`Σ_t dropped_t · c^(K−t+1)`, see `nck_core::ppr`), and within the
@@ -16,9 +16,9 @@ use notable_characteristics::core::config::PprConfig;
 use notable_characteristics::core::ppr::{PersonalizedPageRank, PprWorkspace};
 use notable_characteristics::core::score::ScoreVec;
 use notable_characteristics::graph::builder::GraphBuilder;
-use notable_characteristics::graph::{ErasedGraph, GraphAccess, KnowledgeGraph, NodeId};
-use notable_characteristics::store::graph_view::to_triple_store;
-use notable_characteristics::store::StoreGraph;
+use notable_characteristics::graph::{
+    CompactGraph, ErasedGraph, GraphAccess, KnowledgeGraph, NodeId,
+};
 use proptest::prelude::*;
 
 /// Strategy: triples over small universes plus a source pick and a
@@ -36,8 +36,8 @@ fn build(triples: &[(u8, u8, u8)]) -> KnowledgeGraph {
     for &(s, p, o) in triples {
         b.add_triple(&format!("n{s}"), &format!("p{p}"), &format!("n{o}"));
     }
-    // The source pick must always resolve — on the triple-store backend
-    // too, which only materializes nodes that occur in a triple.
+    // The source pick must always resolve, so every candidate node occurs
+    // in a triple.
     for i in 0..24 {
         b.add_triple(&format!("n{i}"), "exists", "universe");
     }
@@ -61,7 +61,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The ε = 0 frontier executor is the dense power iteration, bit
-    /// for bit, across all four backend configurations (`run` itself
+    /// for bit, across all three backend configurations (`run` itself
     /// dispatches to `run_dense` at ε = 0 — `frontier_outcome` drives
     /// the frontier path directly).
     #[test]
@@ -78,17 +78,11 @@ proptest! {
         prop_assert_eq!(&bits(&csr.frontier_outcome(&[source], &mut ws).scores), &want);
         prop_assert_eq!(&bits(&csr.run(&[source])), &want);
 
-        // Store backend, direct (same node interning order as the CSR:
-        // `to_triple_store` preserves names, ids resolve per backend).
-        let sg = StoreGraph::new(to_triple_store(&kg));
-        let s_src = sg.node_by_name(&format!("n{src}")).unwrap();
-        let store = PersonalizedPageRank::new(&sg, cfg.clone()).unwrap();
-        let store_want: Vec<u64> =
-            store.run_dense(&[s_src]).iter().map(|x| x.to_bits()).collect();
-        prop_assert_eq!(&bits(&store.frontier_outcome(&[s_src], &mut ws).scores), &store_want);
-
         // Both backends behind runtime erasure.
-        for erased in [ErasedGraph::new(kg.clone()), ErasedGraph::new(sg)] {
+        for erased in [
+            ErasedGraph::new(CompactGraph::from_graph(&kg)),
+            ErasedGraph::new(kg),
+        ] {
             let e_src = erased.node_by_name(&format!("n{src}")).unwrap();
             let ppr = PersonalizedPageRank::new(erased, cfg.clone()).unwrap();
             let want_e: Vec<u64> =

@@ -9,8 +9,8 @@
 //!   contexts;
 //! - every label `FindNc` scores must carry the distributions, score and
 //!   significances **bit for bit** that `build_full` plus the configured
-//!   `MultinomialTest` give for that label alone, on the CSR,
-//!   triple-store and compact backends;
+//!   `MultinomialTest` give for that label alone, on the CSR and
+//!   compact backends;
 //! - a one-worker cap must not change a bit of the ranking, and neither
 //!   may caps of 1, 2 or 16 workers on a query whose costliest label —
 //!   the one the workers pull first — has the highest label id.
@@ -33,8 +33,6 @@ use notable_characteristics::core::sweep::{self, ScoringWorkspace};
 use notable_characteristics::graph::builder::GraphBuilder;
 use notable_characteristics::graph::{CompactGraph, GraphAccess, KnowledgeGraph, NodeId};
 use notable_characteristics::stats::MultinomialTest;
-use notable_characteristics::store::graph_view::to_triple_store;
-use notable_characteristics::store::StoreGraph;
 use proptest::prelude::*;
 
 /// One generated case: triples over a small universe, query picks,
@@ -60,8 +58,8 @@ fn build(triples: &[(u8, u8, u8)]) -> KnowledgeGraph {
     for &(s, p, o) in triples {
         b.add_triple(&format!("n{s}"), &format!("p{p}"), &format!("n{o}"));
     }
-    // Every query/context pick must resolve — on the triple-store backend
-    // too, which only materializes nodes that occur in a triple.
+    // Every query/context pick must resolve, so every candidate node
+    // occurs in a triple.
     for i in 0..20 {
         b.add_triple(&format!("n{i}"), "exists", "universe");
     }
@@ -204,7 +202,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// `build_all` equals the per-label `build_full` loop field for
-    /// field on all three backends (each resolved in its own id space),
+    /// field on both backends (each resolved in its own id space),
     /// across every support/binning/inverse combination the generator
     /// produces — including empty contexts.
     #[test]
@@ -215,10 +213,6 @@ proptest! {
         let context_names = dedup_names(&c);
         let support = if union { InstanceSupport::Union } else { InstanceSupport::ContextOnly };
         let binning = if raw { CardinalityBinning::Raw } else { CardinalityBinning::Log2 };
-        assert_distribution_parity(
-            &StoreGraph::new(to_triple_store(&kg)),
-            &query_names, &context_names, support, binning, inv,
-        );
         assert_distribution_parity(
             &CompactGraph::from_graph(&kg),
             &query_names, &context_names, support, binning, inv,
@@ -236,10 +230,6 @@ proptest! {
         let context_names = dedup_names(&c);
         let support = if union { InstanceSupport::Union } else { InstanceSupport::ContextOnly };
         let binning = if raw { CardinalityBinning::Raw } else { CardinalityBinning::Log2 };
-        assert_oracle_parity(
-            &StoreGraph::new(to_triple_store(&kg)),
-            &query_names, &context_names, support, binning, inv,
-        );
         assert_oracle_parity(
             &CompactGraph::from_graph(&kg),
             &query_names, &context_names, support, binning, inv,

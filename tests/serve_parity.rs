@@ -1,7 +1,7 @@
 //! Socket serving parity: a real server on an ephemeral port, real
 //! client sockets, and the contract that **every served response is
 //! byte-for-byte (after JSON decode) the in-process
-//! [`NckService::query`] answer** — on all three backends, under eight
+//! [`NckService::query`] answer** — on both backends, under eight
 //! concurrent client connections.
 //!
 //! The transport is allowed to add exactly one thing to a response: the
@@ -122,11 +122,6 @@ fn serve_matches_in_process(backend: Backend) {
 #[test]
 fn served_responses_match_in_process_on_csr() {
     serve_matches_in_process(Backend::Csr);
-}
-
-#[test]
-fn served_responses_match_in_process_on_store() {
-    serve_matches_in_process(Backend::Store);
 }
 
 #[test]
