@@ -16,8 +16,9 @@ pub struct PprConfig {
     pub damping: f64,
     /// Power-iteration count (paper: 10).
     pub iterations: usize,
-    /// Run the per-query-node PageRanks on parallel threads (they are
-    /// summed in seed order either way, so results are identical).
+    /// Let the per-query-node PageRanks run on parallel threads. A worker
+    /// permission only: the vectors are summed in seed order either way,
+    /// so no bit of the result changes.
     pub parallel: bool,
     /// Sparse-execution pruning threshold: frontier entries holding less
     /// than this much probability mass are dropped before propagating.
@@ -51,9 +52,14 @@ pub struct PathMiningConfig {
     /// reasonable choice for the number of metapaths |M| and maximum
     /// length is 5"; Figure 6 sweeps 5–20).
     pub max_length: usize,
-    /// RNG seed.
+    /// RNG seed. Walk `w` draws from its own stream, derived from
+    /// `(seed, w)` alone, so the seed, the walk budget and the length
+    /// cap fix the mined counts — on any host, under any worker cap and
+    /// with [`parallel`](Self::parallel) on or off.
     pub seed: u64,
-    /// Walk on parallel threads (deterministic per-thread sub-seeds).
+    /// Let the walks run on parallel threads (from 1,024 walks up). A
+    /// worker permission only: every walk keeps its own stream, so no
+    /// count changes.
     pub parallel: bool,
 }
 

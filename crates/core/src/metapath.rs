@@ -35,6 +35,7 @@ use nck_graph::{EdgeLabelId, GraphAccess, NodeId};
 use rand::rngs::SmallRng;
 use rand::{RngExt as _, SeedableRng};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// A query-outward metapath: the sequence of edge labels to follow from a
 /// query node.
@@ -125,48 +126,89 @@ impl PathMiner {
     }
 
     /// Mines metapaths for `query` over `graph`.
+    ///
+    /// Walk `w` draws from its own generator, seeded from `(seed, w)`
+    /// alone, so the counts depend on the seed, the walk budget and the
+    /// length cap only: they are the same on any host, under any worker
+    /// cap and with `parallel` on or off.
     pub fn mine<G: GraphAccess + Sync>(&self, graph: &G, query: &Query) -> MinedMetapaths {
         let n = graph.num_nodes();
         if n == 0 || query.len() >= n {
             return MinedMetapaths::default();
         }
-        let label_weight: Vec<f64> = graph
-            .labels()
-            .iter()
-            .map(|l| 1.0 - graph.label_frequency(l))
-            .collect();
         let walks = self.config.walks;
-        let max_len = self.config.max_length.max(1);
-        let seed = self.config.seed;
-
         let counts = parallel::map_chunks(
             walks,
             self.config.parallel && walks >= 1024,
-            |chunk_idx, range| {
-                let mut rng = SmallRng::seed_from_u64(
-                    seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(chunk_idx as u64 + 1)),
-                );
-                let mut local: HashMap<Vec<EdgeLabelId>, u64> = HashMap::new();
-                let mut path: Vec<EdgeLabelId> = Vec::with_capacity(max_len);
-                for _ in range {
-                    if let Some(metapath) =
-                        walk_once(graph, query, &label_weight, max_len, &mut rng, &mut path)
-                    {
-                        *local.entry(metapath).or_insert(0) += 1;
-                    }
-                }
-                local
-            },
+            |_, range| self.mine_range(graph, query, range),
             HashMap::new(),
-            |mut acc: HashMap<Vec<EdgeLabelId>, u64>, part| {
-                for (k, v) in part {
-                    *acc.entry(k).or_insert(0) += v;
-                }
-                acc
-            },
+            merge_counts,
         );
         MinedMetapaths::from_counts(counts)
     }
+
+    /// Runs walks `walks` (a range of walk indices), each from its own
+    /// stream, and counts the metapaths they observe. Counts are
+    /// integers, so merging the maps of any split of `0..walks` gives the
+    /// same total in any order.
+    fn mine_range<G: GraphAccess>(
+        &self,
+        graph: &G,
+        query: &Query,
+        walks: Range<usize>,
+    ) -> HashMap<Vec<EdgeLabelId>, u64> {
+        let label_weight = label_weights(graph);
+        let max_len = self.config.max_length.max(1);
+        let mut counts = HashMap::new();
+        let mut path: Vec<EdgeLabelId> = Vec::with_capacity(max_len);
+        for w in walks {
+            let mut rng = SmallRng::seed_from_u64(walk_seed(self.config.seed, w));
+            if let Some(metapath) =
+                walk_once(graph, query, &label_weight, max_len, &mut rng, &mut path)
+            {
+                *counts.entry(metapath).or_insert(0) += 1;
+            }
+        }
+        counts
+    }
+}
+
+/// Each label's Eq. 1 informativeness weight `1 − |E_l|/|E|`, by label
+/// index.
+fn label_weights<G: GraphAccess>(graph: &G) -> Vec<f64> {
+    graph
+        .labels()
+        .iter()
+        .map(|l| 1.0 - graph.label_frequency(l))
+        .collect()
+}
+
+/// Adds `part`'s counts into `acc`.
+fn merge_counts(
+    mut acc: HashMap<Vec<EdgeLabelId>, u64>,
+    part: HashMap<Vec<EdgeLabelId>, u64>,
+) -> HashMap<Vec<EdgeLabelId>, u64> {
+    for (k, v) in part {
+        *acc.entry(k).or_insert(0) += v;
+    }
+    acc
+}
+
+/// The seed of walk `walk`'s generator: output number `walk` (counting
+/// from 0) of a SplitMix64 stream started at `seed` (Steele et al.,
+/// OOPSLA 2014), computed directly from the counter, so no walk's stream
+/// depends on which walks ran before it (the counter-based idea of
+/// Salmon et al., SC 2011).
+///
+/// The output mix matters: `seed_from_u64` expands its argument into the
+/// generator's four state words with the next four SplitMix64 outputs,
+/// so seeding walk `w` with the unmixed `seed + (w+1)·γ` would hand walk
+/// `w+1` three of walk `w`'s four state words.
+fn walk_seed(seed: u64, walk: usize) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(walk as u64 + 1));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// One mining walk; returns the reversed-inverted label sequence when the
@@ -318,28 +360,108 @@ mod tests {
         assert!(mined.ranked().iter().all(|(m, _)| m.len() <= 2));
     }
 
+    /// The plain per-walk loop the miner must reproduce: walk `w` from
+    /// `walk_seed(seed, w)`, for every `w` in `0..walks`, one at a time.
+    fn oracle<G: GraphAccess>(
+        graph: &G,
+        query: &Query,
+        cfg: &PathMiningConfig,
+    ) -> HashMap<Vec<EdgeLabelId>, u64> {
+        let label_weight = label_weights(graph);
+        let mut counts = HashMap::new();
+        let mut path = Vec::new();
+        for w in 0..cfg.walks {
+            let mut rng = SmallRng::seed_from_u64(walk_seed(cfg.seed, w));
+            if let Some(m) = walk_once(
+                graph,
+                query,
+                &label_weight,
+                cfg.max_length,
+                &mut rng,
+                &mut path,
+            ) {
+                *counts.entry(m).or_insert(0) += 1;
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn walk_seed_is_the_splitmix64_stream() {
+        // The first outputs of the reference SplitMix64 generator
+        // started at 1234567.
+        let want: [u64; 5] = [
+            6_457_827_717_110_365_317,
+            3_203_168_211_198_807_973,
+            9_817_491_932_198_370_423,
+            4_593_380_528_125_082_431,
+            16_408_922_859_458_223_821,
+        ];
+        for (w, &want) in want.iter().enumerate() {
+            assert_eq!(walk_seed(1_234_567, w), want, "walk {w}");
+        }
+    }
+
+    /// Twelve employees spread over three companies and four towns: walks
+    /// wander, so their metapaths and counts follow the random streams.
+    fn coworkers() -> KnowledgeGraph {
+        let mut b = GraphBuilder::new();
+        for i in 0..12 {
+            b.add_triple(&format!("e{i}"), "worksAt", &format!("c{}", i % 3));
+            b.add_triple(&format!("e{i}"), "livesIn", &format!("t{}", i % 4));
+        }
+        b.build()
+    }
+
     #[test]
     fn parallel_matches_sequential() {
-        let g = star();
-        let q = Query::by_names(&g, ["center"]).unwrap();
+        let g = coworkers();
+        let q = Query::by_names(&g, ["e0", "e1"]).unwrap();
         let base = PathMiningConfig {
             walks: 8_000,
-            max_length: 3,
+            max_length: 4,
             seed: 11,
             parallel: false,
         };
         let seq = PathMiner::new(base.clone()).mine(&g, &q);
         let par = PathMiner::new(PathMiningConfig {
             parallel: true,
-            ..base
+            ..base.clone()
         })
         .mine(&g, &q);
-        // Parallel chunking changes per-walk RNG streams, so counts may
-        // differ slightly — but the same dominant structure must emerge.
+        // Every walk draws from its own stream, so the split reaches
+        // neither the metapaths nor their counts.
+        assert_eq!(seq.ranked(), par.ranked());
+        let want = MinedMetapaths::from_counts(oracle(&g, &q, &base));
+        assert_eq!(seq.ranked(), want.ranked());
+    }
+
+    /// Any split of the walks, merged, equals the per-walk oracle — also
+    /// splits into more ranges than this host has cores.
+    #[test]
+    fn any_split_of_the_walks_equals_the_per_walk_oracle() {
+        let g = coworkers();
+        let q = Query::by_names(&g, ["e0", "e1"]).unwrap();
+        let cfg = PathMiningConfig {
+            walks: 3_001,
+            max_length: 4,
+            seed: 77,
+            parallel: true,
+        };
+        let want = oracle(&g, &q, &cfg);
+        assert!(want.len() > 1, "the graph must yield several metapaths");
+        let miner = PathMiner::new(cfg.clone());
+        for ranges in [1, 3, 7, 16] {
+            let got = parallel::split_range(cfg.walks, ranges)
+                .into_iter()
+                .rev()
+                .map(|r| miner.mine_range(&g, &q, r))
+                .fold(HashMap::new(), merge_counts);
+            assert_eq!(got, want, "{ranges} ranges");
+        }
         assert_eq!(
-            seq.ranked()[0].0.labels(),
-            par.ranked()[0].0.labels(),
-            "dominant metapath differs between parallel and sequential"
+            miner.mine(&g, &q).ranked(),
+            MinedMetapaths::from_counts(want).ranked()
         );
     }
 

@@ -2,10 +2,8 @@
 //!
 //! PathMining (hundreds of thousands of independent walks) and the
 //! per-query-node PageRanks are embarrassingly parallel; [`map_chunks`]
-//! splits an index range into chunks, runs workers over them, and folds
-//! the partial results in chunk order — so parallel runs produce
-//! byte-identical output across repetitions as long as each chunk
-//! derives its randomness from its chunk index.
+//! splits an index range into one contiguous range per worker, runs the
+//! workers, and folds their results in range order.
 //!
 //! FindNC's per-label discrimination tests are independent too, but
 //! their costs are heavy-tailed: one label's test can outweigh all the
@@ -15,21 +13,18 @@
 //! costliest first, and returns the results in index order. Which worker
 //! runs an item, and when, reaches no result.
 //!
-//! ## Chunk count vs worker count
+//! ## The split reaches no result
 //!
-//! Two knobs are deliberately decoupled:
+//! How `0..n` is split follows the host and the worker cap, so a
+//! caller's fold must give the same result however `0..n` is split.
+//! Every caller's does:
 //!
-//! - **Chunk count** ([`chunk_count`]) is part of the deterministic
-//!   execution recipe: randomized workloads seed one RNG per chunk
-//!   index, and chunked `f64` folds associate additions per chunk, so
-//!   changing the chunk count can change results in the last ulp.
-//!   It is derived from the hardware exactly as before and is **not**
-//!   affected by the worker-thread cap.
-//! - **Worker count** ([`thread_count`]) only decides how many OS
-//!   threads execute those chunks. Workers pick up contiguous chunk
-//!   runs and results are folded in chunk order regardless, so capping
-//!   workers (fewer threads each executing more chunks) is
-//!   observationally invisible — a pure performance/footprint knob.
+//! - PathMining seeds each walk from `(seed, walk index)` alone and sums
+//!   integer counts;
+//! - `RandomWalkSelector` sums its per-seed vectors in seed order;
+//! - the engine's batch groups and PPR block prefill place their results
+//!   per item;
+//! - `perfbench`'s label fan-out collects its results per label.
 //!
 //! The worker cap is process-wide ([`set_thread_cap`]): it is operator
 //! configuration (the CLI's `--threads`, `EngineConfig::threads`), never
@@ -46,10 +41,10 @@ static THREAD_CAP: AtomicUsize = AtomicUsize::new(0);
 /// `None` (the default) derives the count from
 /// [`std::thread::available_parallelism`]; `Some(n)` clamps it to at
 /// most `n` (at least 1). The cap is **process-wide** and sticky — it
-/// governs every subsequent [`map_chunks`] call on every thread until
-/// changed — and it never changes results: chunking (the part of the
-/// recipe randomized workloads depend on) is unaffected, only how many
-/// OS threads execute the chunks.
+/// governs every subsequent [`map_chunks`] and [`map_costliest_first`]
+/// call on every thread until changed — and it never changes results
+/// (see the [module docs](self)); `Some(1)` runs every site on the
+/// calling thread.
 pub fn set_thread_cap(cap: Option<usize>) {
     THREAD_CAP.store(
         cap.unwrap_or(0).max(usize::from(cap.is_some())),
@@ -65,30 +60,10 @@ pub fn thread_cap() -> Option<usize> {
     }
 }
 
-/// Number of chunks to split `n` work items into: the hardware
-/// parallelism, clamped to `[1, min(n, 16)]` so tiny workloads never
-/// produce empty chunks and huge machines never over-fragment.
-///
-/// Deliberately ignores [`set_thread_cap`]: chunk boundaries feed
-/// per-chunk RNG seeding and `f64` fold association, so they must not
-/// move when the operator tunes thread usage.
-///
-/// ```
-/// use nck_core::parallel::chunk_count;
-/// assert_eq!(chunk_count(0), 1);          // no work still gets one chunk
-/// assert!(chunk_count(4) <= 4);           // never more chunks than items
-/// assert!(chunk_count(usize::MAX) <= 16); // hard ceiling
-/// ```
-pub fn chunk_count(n: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    hw.min(n.max(1)).min(16)
-}
-
 /// Number of worker threads to use for `n` work items: the hardware
-/// parallelism, clamped to `[1, min(n, 16)]` — and further capped by
-/// [`set_thread_cap`] when one is set.
+/// parallelism, clamped to `[1, min(n, 16)]` so tiny workloads never
+/// get empty ranges and huge machines never over-fragment — and further
+/// capped by [`set_thread_cap`] when one is set.
 ///
 /// ```
 /// use nck_core::parallel::thread_count;
@@ -97,7 +72,10 @@ pub fn chunk_count(n: usize) -> usize {
 /// assert!(thread_count(usize::MAX) <= 16); // hard ceiling
 /// ```
 pub fn thread_count(n: usize) -> usize {
-    let base = chunk_count(n);
+    let hw = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    let base = hw.min(n.max(1)).min(16);
     match thread_cap() {
         Some(cap) => base.min(cap),
         None => base,
@@ -129,50 +107,30 @@ pub fn split_range(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// Runs `worker` over each chunk of `0..n` (possibly on threads) and folds
-/// the partial results in chunk order.
+/// Splits `0..n` into [`thread_count`]`(n)` ranges (one range when
+/// `parallel` is false), runs `worker(range_index, range)` for each —
+/// one thread per range, or the calling thread alone for one range —
+/// and folds the results in range order.
 ///
-/// `worker(chunk_index, range)` must be pure up to its arguments for
-/// repeated runs to agree. The chunking is fixed by [`chunk_count`];
-/// the number of OS threads executing the chunks is [`thread_count`]
-/// (i.e. capped by [`set_thread_cap`]), each thread running a
-/// contiguous run of chunks — so the fold sees the identical chunk
-/// sequence whatever the cap.
-pub fn map_chunks<T, W, F, A>(n: usize, parallel: bool, worker: W, init: A, fold: F) -> A
+/// The number of ranges follows the host and the worker cap, so callers
+/// must fold to the same result under any split of `0..n` (see the
+/// [module docs](self)).
+pub fn map_chunks<T, W, F, A>(n: usize, parallel: bool, worker: W, init: A, mut fold: F) -> A
 where
     T: Send,
     W: Fn(usize, std::ops::Range<usize>) -> T + Sync,
     F: FnMut(A, T) -> A,
 {
-    let chunks = split_range(n, if parallel { chunk_count(n) } else { 1 });
-    let workers = if parallel {
-        thread_count(chunks.len())
-    } else {
-        1
-    };
-    let mut fold = fold;
-    if chunks.len() == 1 || workers == 1 {
-        // One worker executes every chunk inline, in chunk order.
-        return chunks
+    let ranges = split_range(n, if parallel { thread_count(n) } else { 1 });
+    if let [range] = &ranges[..] {
+        return fold(init, worker(0, range.clone()));
+    }
+    let results: Vec<T> = crossbeam::thread::scope(|s| {
+        let worker = &worker;
+        let handles: Vec<_> = ranges
             .into_iter()
             .enumerate()
-            .fold(init, |acc, (i, range)| fold(acc, worker(i, range)));
-    }
-    // Assign each worker thread a contiguous run of chunks; gathering
-    // per-worker vectors in spawn order yields the chunks in index
-    // order, so the fold is identical to the inline path's.
-    let runs = split_range(chunks.len(), workers);
-    let results: Vec<Vec<T>> = crossbeam::thread::scope(|s| {
-        let chunks = &chunks;
-        let handles: Vec<_> = runs
-            .into_iter()
-            .map(|run| {
-                let worker = &worker;
-                s.spawn(move |_| {
-                    run.map(|i| worker(i, chunks[i].clone()))
-                        .collect::<Vec<T>>()
-                })
-            })
+            .map(|(i, range)| s.spawn(move |_| worker(i, range)))
             .collect();
         handles
             .into_iter()
@@ -180,7 +138,7 @@ where
             .collect()
     })
     .expect("crossbeam scope failed");
-    results.into_iter().flatten().fold(init, fold)
+    results.into_iter().fold(init, fold)
 }
 
 /// Runs `worker(i)` for every `i` in `0..n` on up to [`thread_count`]
@@ -289,9 +247,8 @@ mod tests {
         assert!(thread_count(1) == 1);
     }
 
-    /// The worker cap must not move chunk boundaries — chunk-indexed
-    /// RNG seeding depends on them — and capped execution must fold the
-    /// same chunk sequence in the same order.
+    /// Capping workers bounds the thread count and reaches no result
+    /// of a fold that does not depend on the split.
     ///
     /// Runs every capped call inside one test so the process-wide cap
     /// never races the other tests in this binary (the cap cannot
@@ -300,30 +257,25 @@ mod tests {
     #[test]
     fn worker_cap_is_observationally_invisible() {
         let n = 4_096usize;
-        let worker = |i: usize, r: std::ops::Range<usize>| -> (usize, u64) {
-            // Chunk-seeded pseudo-randomness: sensitive to chunk count
-            // and order, exactly like PathMining's per-chunk RNG.
-            let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (i as u64);
-            for x in r {
-                h = h.wrapping_mul(0x100_0000_01b3).wrapping_add(x as u64);
-            }
-            (i, h)
+        let worker = |_i: usize, r: std::ops::Range<usize>| -> Vec<u64> {
+            // One hash per item, keyed by the item alone, like
+            // PathMining's per-walk streams.
+            r.map(|x| (x as u64 ^ 0xcbf2_9ce4_8422_2325).wrapping_mul(0x100_0000_01b3))
+                .collect()
         };
-        let fold = |mut acc: Vec<(usize, u64)>, part| {
-            acc.push(part);
+        let fold = |mut acc: Vec<u64>, part: Vec<u64>| {
+            acc.extend(part);
             acc
         };
+        let ranges = || map_chunks(n, true, |_, _| 1usize, 0, |a, b| a + b);
         assert_eq!(thread_cap(), None, "cap starts unset");
         let uncapped = map_chunks(n, true, worker, Vec::new(), fold);
+        assert_eq!(uncapped, map_chunks(n, false, worker, Vec::new(), fold));
         for cap in [1usize, 2, 3] {
             set_thread_cap(Some(cap));
             assert_eq!(thread_cap(), Some(cap));
             assert!(thread_count(n) <= cap, "cap must bound workers");
-            assert_eq!(
-                chunk_count(n),
-                uncapped.len(),
-                "cap must not change chunking"
-            );
+            assert_eq!(ranges(), thread_count(n), "one range per worker");
             let capped = map_chunks(n, true, worker, Vec::new(), fold);
             assert_eq!(capped, uncapped, "cap={cap} must be invisible");
         }

@@ -120,12 +120,13 @@ pub struct EngineConfig {
     /// stays in effect after that engine is dropped — it is the
     /// operator's deployment setting, not a per-engine property, and no
     /// request can change it.
-    /// Purely a performance/footprint knob: chunking — the part of the
-    /// recipe randomized workloads depend on — is not affected, so
-    /// results are identical under any cap.
+    /// Purely a performance/footprint knob: every fork-join site folds
+    /// to the same result however its work is split, so answers are
+    /// identical under any cap; `Some(1)` runs single-threaded.
     pub threads: Option<usize>,
-    /// Execute batch groups across worker threads (results are identical
-    /// either way; see the [module docs](self)).
+    /// Let batch groups and PPR block prefills run across worker threads.
+    /// A worker permission only: results are placed per item, so they are
+    /// identical either way (see the [module docs](self)).
     pub parallel: bool,
 }
 
@@ -745,8 +746,8 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             .fetch_add(plan.deduplicated() as u64, Ordering::Relaxed);
         self.prefill_ppr_blocks(&plan, &keys);
         let groups = &plan.groups;
-        // Chunk order is preserved by the fold, so per-group results come
-        // back sorted by group index and error selection is deterministic.
+        // The fold keeps range order, so per-group results come back
+        // sorted by group index and error selection is deterministic.
         let per_group: Vec<(usize, Result<Arc<Entry>, CoreError>)> = parallel::map_chunks(
             groups.len(),
             self.config.parallel && groups.len() > 1,

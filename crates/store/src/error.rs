@@ -5,8 +5,6 @@ use std::fmt;
 /// Errors surfaced by the triple-store substrate.
 #[derive(Debug)]
 pub enum StoreError {
-    /// A term id was not found in the dictionary.
-    UnknownTermId(u32),
     /// A line of an N-Triples file could not be parsed.
     Parse {
         /// 1-based line number.
@@ -21,7 +19,6 @@ pub enum StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::UnknownTermId(id) => write!(f, "unknown term id {id}"),
             StoreError::Parse { line, message } => {
                 write!(f, "N-Triples parse error at line {line}: {message}")
             }
@@ -51,7 +48,6 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(StoreError::UnknownTermId(3).to_string().contains('3'));
         let e = StoreError::Parse {
             line: 9,
             message: "missing dot".into(),

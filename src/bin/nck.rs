@@ -29,7 +29,6 @@ use notable_characteristics::api::{
     json, Backend, NckService, QueryRequest, QueryResponse, WorkloadMode, WorkloadReport,
     WorkloadRequest,
 };
-use notable_characteristics::core::config::{PathMiningConfig, PprConfig};
 use notable_characteristics::core::context::TypeFilter;
 use notable_characteristics::datagen::{generate, generate_scale, GeneratorConfig, ScaleConfig};
 use notable_characteristics::engine::{EngineConfig, SelectorMode};
@@ -70,9 +69,9 @@ query/batch options:
                             (default: 0 = exact dense execution)
   --top N                   characteristics to print per query (default: 10)
   --threads N               cap worker threads (default: derive from the
-                            machine; results are identical under any cap)
+                            machine; 1 runs single-threaded; answers are
+                            identical under any cap)
   --json                    emit JSON instead of tables
-  --no-parallel             single-threaded execution
 
 The batch query file holds one query per line: comma-separated entity
 names (names containing a comma cannot be expressed); blank lines and
@@ -116,7 +115,6 @@ struct RunOpts {
     top: usize,
     threads: Option<usize>,
     json: bool,
-    parallel: bool,
 }
 
 impl Default for RunOpts {
@@ -133,7 +131,6 @@ impl Default for RunOpts {
             top: 10,
             threads: None,
             json: false,
-            parallel: true,
         }
     }
 }
@@ -260,7 +257,6 @@ fn parse_run_opts(args: &mut Vec<String>) -> Result<RunOpts, String> {
         o.threads = Some(threads);
     }
     o.json = take_switch(args, "--json");
-    o.parallel = !take_switch(args, "--no-parallel");
     Ok(o)
 }
 
@@ -291,21 +287,12 @@ fn exit_status(run: Result<(), String>) -> ExitCode {
 
 fn engine_config(o: &RunOpts) -> EngineConfig {
     let mut cfg = EngineConfig::default();
-    cfg.findnc.context.mining = PathMiningConfig {
-        walks: o.walks,
-        parallel: o.parallel,
-        ..PathMiningConfig::default()
-    };
+    cfg.findnc.context.mining.walks = o.walks;
     cfg.findnc.context.type_filter = o.type_filter;
     cfg.findnc.context_size = o.context_size;
     cfg.selector = o.selector;
     cfg.randomwalk.type_filter = o.type_filter;
-    cfg.randomwalk.ppr = PprConfig {
-        parallel: o.parallel,
-        epsilon: o.epsilon,
-        ..PprConfig::default()
-    };
-    cfg.parallel = o.parallel;
+    cfg.randomwalk.ppr.epsilon = o.epsilon;
     cfg.threads = o.threads;
     cfg
 }
@@ -614,36 +601,39 @@ fn cmd_batch(args: &[String]) -> ExitCode {
 // nck serve
 // ---------------------------------------------------------------------------
 
+/// `nck serve`'s arguments: the bind address, the serving limits and
+/// the shared run options.
+fn parse_serve(args: &mut Vec<String>) -> Result<(String, ServeConfig, RunOpts), String> {
+    let addr = take_flag(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:4517".to_owned());
+    let mut config = ServeConfig::default();
+    if let Some(v) = take_flag(args, "--workers")? {
+        config.workers = parse_num(&v, "--workers")?;
+        if config.workers == 0 {
+            return Err("--workers must be at least 1".into());
+        }
+    }
+    if let Some(v) = take_flag(args, "--queue-depth")? {
+        config.queue_depth = parse_num(&v, "--queue-depth")?;
+    }
+    if let Some(v) = take_flag(args, "--max-connections")? {
+        config.max_connections = parse_num(&v, "--max-connections")?;
+    }
+    if let Some(v) = take_flag(args, "--max-frame-bytes")? {
+        config.max_frame_bytes = parse_num(&v, "--max-frame-bytes")?;
+    }
+    if let Some(v) = take_flag(args, "--default-deadline-ms")? {
+        config.default_deadline_ms = Some(parse_num(&v, "--default-deadline-ms")?);
+    }
+    Ok((addr, config, finish_run_opts(args)?))
+}
+
 fn cmd_serve(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
+    let (addr, config, opts) = match parse_serve(&mut args) {
+        Ok(parsed) => parsed,
+        Err(e) => return fail(&e),
+    };
     exit_status((|| {
-        let addr = take_flag(&mut args, "--addr")?.unwrap_or_else(|| "127.0.0.1:4517".to_owned());
-        let mut config = ServeConfig::default();
-        if let Some(v) = take_flag(&mut args, "--workers")? {
-            config.workers = parse_num(&v, "--workers")?;
-            if config.workers == 0 {
-                return Err("--workers must be at least 1".into());
-            }
-        }
-        if let Some(v) = take_flag(&mut args, "--queue-depth")? {
-            config.queue_depth = parse_num(&v, "--queue-depth")?;
-        }
-        if let Some(v) = take_flag(&mut args, "--max-connections")? {
-            config.max_connections = parse_num(&v, "--max-connections")?;
-        }
-        if let Some(v) = take_flag(&mut args, "--max-frame-bytes")? {
-            config.max_frame_bytes = parse_num(&v, "--max-frame-bytes")?;
-        }
-        if let Some(v) = take_flag(&mut args, "--default-deadline-ms")? {
-            config.default_deadline_ms = Some(parse_num(&v, "--default-deadline-ms")?);
-        }
-        let opts = parse_run_opts(&mut args)?;
-        if opts.graph.is_empty() {
-            return Err("--graph is required".into());
-        }
-        if let Some(junk) = args.first() {
-            return Err(format!("unexpected argument {junk:?}"));
-        }
         let service = load_service(&opts)?;
         let handle = serve(std::sync::Arc::new(service), addr.as_str(), config)
             .map_err(|e| format!("cannot bind {addr}: {e}"))?;
@@ -923,29 +913,20 @@ mod tests {
     }
 
     #[test]
-    fn removed_block_width_flag_is_an_unexpected_argument() {
-        let mut a = args(&["--graph", "g.nt", "--ppr-block-width", "4"]);
-        let err = finish_run_opts(&mut a).unwrap_err();
-        assert_eq!(err, r#"unexpected argument "--ppr-block-width""#);
-        // A usage error: exit 2, before any file is opened.
-        let query = args(&[
-            "--graph",
-            "missing.nt",
-            "--query",
-            "A",
-            "--ppr-block-width",
-            "4",
-        ]);
-        assert_eq!(cmd_query(&query), ExitCode::from(2));
-        let batch = args(&[
-            "--graph",
-            "missing.nt",
-            "--queries",
-            "q",
-            "--ppr-block-width",
-            "4",
-        ]);
-        assert_eq!(cmd_batch(&batch), ExitCode::from(2));
+    fn removed_block_width_and_no_parallel_flags_are_unexpected_arguments() {
+        for removed in [&["--ppr-block-width", "4"][..], &["--no-parallel"]] {
+            let mut a = args(&["--graph", "g.nt"]);
+            a.extend(args(removed));
+            let err = finish_run_opts(&mut a).unwrap_err();
+            assert_eq!(err, format!("unexpected argument {:?}", removed[0]));
+            // A usage error: exit 2, before any file is opened.
+            let mut query = args(&["--graph", "missing.nt", "--query", "A"]);
+            query.extend(args(removed));
+            assert_eq!(cmd_query(&query), ExitCode::from(2));
+            let mut batch = args(&["--graph", "missing.nt", "--queries", "q"]);
+            batch.extend(args(removed));
+            assert_eq!(cmd_batch(&batch), ExitCode::from(2));
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! The parity suites compare two runs of one build. This suite compares
 //! a run with the bits an earlier build wrote down, so a change that
 //! moves any answer — on purpose or not — fails here and shows the diff.
-//! Mining runs in one chunk (`parallel: false`), so the mined counts, and
-//! with them the answers, are the same on any host.
+//! Every mining walk draws from its own stream, so the answers are the
+//! same on any host: each test renders again under worker caps of 1, 2
+//! and 16 and with mining's `parallel` off, and every render must match.
 //!
 //! Two fixtures, one graph:
 //!
@@ -28,6 +29,7 @@
 
 use notable_characteristics::core::config::FindNcConfig;
 use notable_characteristics::core::findnc::FindNc;
+use notable_characteristics::core::parallel;
 use notable_characteristics::core::query::Query;
 use notable_characteristics::datagen::{generate, Dataset, DomainId, GeneratorConfig};
 use notable_characteristics::graph::KnowledgeGraph;
@@ -44,7 +46,7 @@ const NTRIPLES_FIXTURE: &str = concat!(
 );
 
 /// The pipeline's defaults, trimmed so a debug build answers in seconds:
-/// 4,000 walks in one chunk, a 40-node context, 2,000 Monte-Carlo samples.
+/// 4,000 walks, a 40-node context, 2,000 Monte-Carlo samples.
 fn config() -> FindNcConfig {
     let mut cfg = FindNcConfig {
         context_size: 40,
@@ -52,7 +54,6 @@ fn config() -> FindNcConfig {
         ..FindNcConfig::default()
     };
     cfg.context.mining.walks = 4_000;
-    cfg.context.mining.parallel = false;
     cfg
 }
 
@@ -98,10 +99,14 @@ fn reloaded(graph: &KnowledgeGraph) -> KnowledgeGraph {
     to_knowledge_graph(&read_ntriples(&text[..]).expect("written N-Triples parse"))
 }
 
-/// Renders every answer on `graph`, and counts the exact tests and the
-/// Monte-Carlo tests of at least 7 trials the queries ran.
-fn render(graph: &KnowledgeGraph, queries: &[Vec<String>]) -> (String, usize, usize) {
-    let findnc = FindNc::new(config());
+/// Renders every answer on `graph` under `config`, and counts the exact
+/// tests and the Monte-Carlo tests of at least 7 trials the queries ran.
+fn render(
+    graph: &KnowledgeGraph,
+    queries: &[Vec<String>],
+    config: FindNcConfig,
+) -> (String, usize, usize) {
+    let findnc = FindNc::new(config);
     let (mut exact, mut monte_carlo) = (0, 0);
     let mut out = String::new();
     for names in queries {
@@ -140,7 +145,7 @@ fn render(graph: &KnowledgeGraph, queries: &[Vec<String>]) -> (String, usize, us
     (out, exact, monte_carlo)
 }
 
-fn assert_matches(fixture: &str, (got, exact, monte_carlo): (String, usize, usize)) {
+fn assert_matches(fixture: &str, (got, exact, monte_carlo): (String, usize, usize), run: &str) {
     assert!(exact > 0, "the fixture must run exact tests");
     assert!(
         monte_carlo > 0,
@@ -150,21 +155,47 @@ fn assert_matches(fixture: &str, (got, exact, monte_carlo): (String, usize, usiz
     let (got_lines, want_lines): (Vec<&str>, Vec<&str>) =
         (got.lines().collect(), want.lines().collect());
     for (i, (g, w)) in got_lines.iter().zip(&want_lines).enumerate() {
-        assert_eq!(g, w, "answer line {} of {fixture} moved", i + 1);
+        assert_eq!(g, w, "{run}: answer line {} of {fixture} moved", i + 1);
     }
-    assert_eq!(got_lines.len(), want_lines.len(), "answer line count moved");
+    assert_eq!(
+        got_lines.len(),
+        want_lines.len(),
+        "{run}: answer line count moved"
+    );
+}
+
+/// Renders on `graph` under worker caps of 1, 2 and 16, then with the
+/// cap unset, then with mining's `parallel` off; each render must match
+/// `fixture`. The cap is process-wide, but no answer depends on it, so
+/// this binary's tests may share it.
+fn assert_every_split_matches(fixture: &str, graph: &KnowledgeGraph, queries: &[Vec<String>]) {
+    for cap in [Some(1), Some(2), Some(16), None] {
+        parallel::set_thread_cap(cap);
+        assert_matches(
+            fixture,
+            render(graph, queries, config()),
+            &format!("cap {cap:?}"),
+        );
+    }
+    let mut sequential = config();
+    sequential.context.mining.parallel = false;
+    assert_matches(
+        fixture,
+        render(graph, queries, sequential),
+        "mining parallel off",
+    );
 }
 
 #[test]
 fn answers_match_the_committed_fixture() {
     let d = dataset();
-    assert_matches(FIXTURE, render(&d.graph, &queries(&d)));
+    assert_every_split_matches(FIXTURE, &d.graph, &queries(&d));
 }
 
 #[test]
 fn ntriples_answers_match_the_committed_fixture() {
     let d = dataset();
-    assert_matches(NTRIPLES_FIXTURE, render(&reloaded(&d.graph), &queries(&d)));
+    assert_every_split_matches(NTRIPLES_FIXTURE, &reloaded(&d.graph), &queries(&d));
 }
 
 /// Rewrites both fixtures from the current build.
@@ -174,6 +205,10 @@ fn bless() {
     let d = dataset();
     let queries = queries(&d);
     std::fs::create_dir_all(std::path::Path::new(FIXTURE).parent().unwrap()).unwrap();
-    std::fs::write(FIXTURE, render(&d.graph, &queries).0).unwrap();
-    std::fs::write(NTRIPLES_FIXTURE, render(&reloaded(&d.graph), &queries).0).unwrap();
+    std::fs::write(FIXTURE, render(&d.graph, &queries, config()).0).unwrap();
+    std::fs::write(
+        NTRIPLES_FIXTURE,
+        render(&reloaded(&d.graph), &queries, config()).0,
+    )
+    .unwrap();
 }
