@@ -281,15 +281,6 @@ pub struct EngineStatsReport {
     /// caller's.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub ppr_coalesced: Option<u64>,
-    /// Blocked multi-seed PPR kernel invocations (batch distinct-miss
-    /// prefill; one run covers up to 8 seeds). Optional on the wire so
-    /// payloads from pre-blocking schemas still parse.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub ppr_block_runs: Option<u64>,
-    /// Seed vectors computed by blocked runs and inserted into the PPR
-    /// cache (blocked fills bypass the per-seed miss counters).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub ppr_lanes_filled: Option<u64>,
     /// Labels scored across executed (non-cached) queries. Optional on
     /// the wire so payloads from older schemas still parse.
     #[serde(skip_serializing_if = "Option::is_none")]
@@ -329,8 +320,6 @@ impl From<EngineStats> for EngineStatsReport {
             result_coalesced: Some(s.result_coalesced),
             context_coalesced: Some(s.context_coalesced),
             ppr_coalesced: Some(s.ppr_coalesced),
-            ppr_block_runs: Some(s.ppr_block_runs),
-            ppr_lanes_filled: Some(s.ppr_lanes_filled),
             labels_scored: Some(s.labels_scored),
             cache_shards: Some(s.result.shards as u64),
             graph_bytes: None,
@@ -436,8 +425,6 @@ mod tests {
             result_coalesced: None,
             context_coalesced: None,
             ppr_coalesced: None,
-            ppr_block_runs: None,
-            ppr_lanes_filled: None,
             labels_scored: None,
             cache_shards: None,
             graph_bytes: None,
@@ -475,8 +462,6 @@ mod tests {
             result_coalesced: Some(3),
             context_coalesced: Some(2),
             ppr_coalesced: Some(5),
-            ppr_block_runs: Some(2),
-            ppr_lanes_filled: Some(12),
             labels_scored: Some(40),
             cache_shards: Some(8),
             graph_bytes: Some(123_456),
@@ -487,8 +472,6 @@ mod tests {
         let text = serde::json::to_string(&report);
         assert!(text.contains(r#""result_coalesced":3"#), "{text}");
         assert!(text.contains(r#""cache_shards":8"#), "{text}");
-        assert!(text.contains(r#""ppr_block_runs":2"#), "{text}");
-        assert!(text.contains(r#""ppr_lanes_filled":12"#), "{text}");
         assert!(text.contains(r#""labels_scored":40"#), "{text}");
         let back: EngineStatsReport = serde::json::from_str(&text).unwrap();
         assert_eq!(back, report, "coalesced/shard counters round-trip");
@@ -503,8 +486,6 @@ mod tests {
         assert_eq!(back.weight_builds, None);
         assert_eq!(back.result_coalesced, None);
         assert_eq!(back.cache_shards, None);
-        assert_eq!(back.ppr_block_runs, None);
-        assert_eq!(back.ppr_lanes_filled, None);
         assert_eq!(back.labels_scored, None);
         assert_eq!(back.submitted, 8);
     }

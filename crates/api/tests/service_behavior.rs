@@ -358,22 +358,17 @@ fn single_client_concurrent_phase_works() {
     assert_eq!(concurrent.stats.result_coalesced, Some(0));
 }
 
-/// A service batch runs its distinct seed misses through the blocked
-/// PPR kernel, and its answers match per-query answers, which take the
-/// solo executor, bit for bit.
+/// A service batch answers each request exactly as a single query
+/// does, bit for bit.
 #[test]
-fn service_batches_run_the_blocked_kernel() {
+fn service_batch_answers_equal_per_query_answers() {
     let mut config = toy_config();
     config.selector = SelectorMode::RandomWalk;
     config.randomwalk.type_filter = TypeFilter::None;
     config.randomwalk.ppr.parallel = false;
     let requests = ["Merkel", "Obama", "leader0", "leader1"].map(|s| QueryRequest::entities([s]));
 
-    let service = toy_service(config.clone());
-    let blocked = service.batch(&requests).unwrap();
-    let stats = service.raw_stats();
-    assert_eq!((stats.ppr_block_runs, stats.ppr_lanes_filled), (1, 4));
-
+    let batched = toy_service(config.clone()).batch(&requests).unwrap();
     let solo = toy_service(config);
     let plain: Vec<_> = requests
         .iter()
@@ -383,8 +378,7 @@ fn service_batches_run_the_blocked_kernel() {
             response
         })
         .collect();
-    assert_eq!(solo.raw_stats().ppr_block_runs, 0);
-    assert_eq!(blocked, plain, "blocking must be answer-invariant");
+    assert_eq!(batched, plain, "batching must be answer-invariant");
 }
 
 /// An override the effective selector never reads — the overridden

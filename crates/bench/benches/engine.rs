@@ -9,10 +9,9 @@
 //! already-warm engine (steady-state serving, all result-cache hits);
 //! `sequential_32` is the `FindNc::discover` loop the engine replaces.
 //!
-//! `rw_distinct32_per_seed` vs `rw_distinct32_block_cold` time 32 cold
+//! `rw_distinct32_per_seed` vs `rw_distinct32_batch_cold` time 32 cold
 //! RandomWalk queries over distinct seeds — all PPR-cache misses —
-//! answered one `QueryEngine::run` each (the solo executor per seed)
-//! vs as one batch (blocked prefill, 8 seeds per block), after
+//! answered one `QueryEngine::run` each vs as one batch, after
 //! asserting the two answer identically.
 
 #![forbid(unsafe_code)]
@@ -97,14 +96,14 @@ fn bench_engine(c: &mut Criterion) {
 
     // Cold RandomWalk queries over 32 *distinct* seeds on the
     // quarter-scale planted graph (the same graph and seeds as
-    // `BENCH_ppr.json`'s `per_seed_loop_32`/`block_cold_32` rows): every
-    // query is a PPR-cache miss. Answered one `run` each, spread over
-    // `parallel::thread_count(32)` scoped threads, they cost 32 solo
-    // graph sweeps; as one batch, ⌈32/8⌉ blocked sweeps. Scoring is held
-    // light (small context, no type filter) so the rows measure the PPR
-    // cost inside the full engine stack rather than label scoring.
-    // Answers must agree bit for bit before any timing — blocking is a
-    // performance choice, never an answer change.
+    // `BENCH_ppr.json`'s `per_seed_loop_32` row): every query is a
+    // PPR-cache miss, 32 solo graph sweeps either way. Answered one `run`
+    // each, they are spread over `parallel::thread_count(32)` scoped
+    // threads in contiguous ranges; as one batch, the engine's workers
+    // pull one group at a time. Scoring is held light (small context, no
+    // type filter) so the rows measure the PPR cost inside the full
+    // engine stack rather than label scoring. Answers must agree bit for
+    // bit before any timing.
     let big = nck_bench::bench_dataset();
     let rw_graph = &big.graph;
     let rw_queries: Vec<Query> = big.domains[1].members[..32]
@@ -143,22 +142,20 @@ fn bench_engine(c: &mut Criterion) {
     };
     {
         let per_seed = QueryEngine::new(rw_graph, rw_config()).unwrap();
-        let blocked = QueryEngine::new(rw_graph, rw_config()).unwrap();
+        let batched = QueryEngine::new(rw_graph, rw_config()).unwrap();
         let want = run_per_seed(&per_seed);
-        let got = blocked.run_batch(&rw_queries).unwrap();
+        let got = batched.run_batch(&rw_queries).unwrap();
         for (i, (a, b)) in want.iter().zip(&got).enumerate() {
             assert!(
                 nck_api::rankings_equal(a, b),
-                "blocked batch diverged from per-seed runs at query {i}"
+                "batch diverged from per-seed runs at query {i}"
             );
         }
-        let stats = blocked.stats();
         assert_eq!(
-            (stats.ppr_block_runs, stats.ppr_lanes_filled),
-            (4, 32),
-            "the blocked engine must have answered via the block kernel"
+            batched.stats().ppr.misses,
+            32,
+            "one PageRank per distinct seed"
         );
-        assert_eq!(per_seed.stats().ppr_block_runs, 0);
     }
     group.bench_function("rw_distinct32_per_seed", |b| {
         b.iter(|| {
@@ -166,7 +163,7 @@ fn bench_engine(c: &mut Criterion) {
             run_per_seed(&engine)
         })
     });
-    group.bench_function("rw_distinct32_block_cold", |b| {
+    group.bench_function("rw_distinct32_batch_cold", |b| {
         b.iter(|| {
             let engine = QueryEngine::new(rw_graph, rw_config()).unwrap();
             engine.run_batch(&rw_queries).unwrap()

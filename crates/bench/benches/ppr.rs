@@ -10,18 +10,15 @@
 //! bench asserts that parity up front, so a CI smoke run
 //! (`--samples 1`) fails loudly if the sparse path regresses.
 //!
-//! `per_seed_loop_{8,32}` vs `block_cold_{8,32}` measure the blocked
-//! multi-seed kernel against the per-seed loop it amortizes, with
-//! every lane asserted bit-identical to its solo run before timing.
-//! `block_lane1_loop_8` runs the same 8 seeds as one-lane blocks: the
-//! row that keeps the solo frontier executor as the single-seed path.
+//! `per_seed_loop_{8,32}` run the exact frontier executor once per
+//! seed over 8 and 32 distinct seeds, reusing one workspace.
 
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nck_bench::bench_dataset;
 use nck_core::config::PprConfig;
-use nck_core::ppr::{BlockPprWorkspace, PersonalizedPageRank, PprWorkspace};
+use nck_core::ppr::{PersonalizedPageRank, PprWorkspace};
 use nck_graph::NodeId;
 
 /// ε for the pruned sparse benches: small enough to keep rankings
@@ -113,27 +110,8 @@ fn bench_ppr(c: &mut Criterion) {
     let ppr = PersonalizedPageRank::new(g, PprConfig::default()).unwrap();
     group.bench_function("multi_source_5", |b| b.iter(|| ppr.run(&sources)));
 
-    // Distinct-seed batch: the blocked kernel (`run_block`, one graph
-    // sweep per iteration shared by all lanes) vs the per-seed loop it
-    // replaces. Parity is asserted before any timing: every lane must be
-    // its solo `frontier_outcome` run bit for bit, so a CI smoke run
-    // fails loudly if blocking ever drifts from the single-seed path.
+    // Distinct seeds, one solo run each.
     let batch: Vec<NodeId> = d.domains[1].members[..32].to_vec();
-    {
-        let blocked = exact.run_block(&batch, &mut BlockPprWorkspace::new());
-        let mut ws = PprWorkspace::new();
-        for (lane, &seed) in batch.iter().enumerate() {
-            let solo = exact.frontier_outcome(&[seed], &mut ws);
-            for i in 0..g.num_nodes() {
-                let node = NodeId::from_index(i);
-                assert_eq!(
-                    blocked[lane].scores.get(node).to_bits(),
-                    solo.scores.get(node).to_bits(),
-                    "blocked lane {lane} diverged from its solo run at node {i}"
-                );
-            }
-        }
-    }
     for width in [8usize, 32] {
         let seeds = &batch[..width];
         group.bench_function(format!("per_seed_loop_{width}"), |b| {
@@ -143,19 +121,6 @@ fn bench_ppr(c: &mut Criterion) {
                     exact.frontier_outcome(&[s], &mut ws);
                 }
             })
-        });
-        if width == 8 {
-            group.bench_function("block_lane1_loop_8", |b| {
-                let mut ws = BlockPprWorkspace::new();
-                b.iter(|| {
-                    for &s in seeds {
-                        exact.run_block(&[s], &mut ws);
-                    }
-                })
-            });
-        }
-        group.bench_function(format!("block_cold_{width}"), |b| {
-            b.iter(|| exact.run_block(seeds, &mut BlockPprWorkspace::new()))
         });
     }
     group.finish();

@@ -10,8 +10,10 @@
 //! others together. Contiguous chunks would pin that label and its
 //! neighbours to one worker while another idles, so
 //! [`map_costliest_first`] has workers pull one item at a time, the
-//! costliest first, and returns the results in index order. Which worker
-//! runs an item, and when, reaches no result.
+//! costliest first, and returns the results in index order. The
+//! engine's batch groups take the same helper with one flat cost, so
+//! workers pull them in plan order. Which worker runs an item, and when,
+//! reaches no result.
 //!
 //! ## The split reaches no result
 //!
@@ -22,8 +24,7 @@
 //! - PathMining seeds each walk from `(seed, walk index)` alone and sums
 //!   integer counts;
 //! - `RandomWalkSelector` sums its per-seed vectors in seed order;
-//! - the engine's batch groups and PPR block prefill place their results
-//!   per item;
+//! - the engine's batch groups place their results per group;
 //! - `perfbench`'s label fan-out collects its results per label.
 //!
 //! The worker cap is process-wide ([`set_thread_cap`]): it is operator

@@ -12,6 +12,9 @@
 //! by power iteration (the paper's experiments: 10 iterations). The
 //! baseline computes one PageRank per query node (personalization
 //! `v = e_q`), sums the vectors, and returns the top-k candidates.
+//! Each per-node PageRank is one solo run of [`run`] — in
+//! [`RandomWalkSelector`], and in the engine for every cache miss,
+//! whether it comes from a single request or a batch.
 //!
 //! ## Sparse execution
 //!
@@ -40,37 +43,16 @@
 //! [`frontier_outcome`] exposes it so the property tests pin it
 //! bit-for-bit against the dense reference on every backend.
 //!
-//! ## Blocked multi-seed execution
-//!
-//! A batch of *distinct* seeds re-walks the same adjacency once per
-//! seed — on [`CompactGraph`](nck_graph::CompactGraph) it even
-//! re-decodes the same varint runs — although the per-seed math is
-//! cheap. [`run_block`] processes `B` seeds simultaneously with `B`
-//! f64 mass lanes per node: each frontier node's out-edges are located
-//! and weight-looked-up **once per iteration** and applied to every
-//! lane holding mass. Lane `i` is **bit-for-bit identical** to
-//! `frontier_outcome(&[seeds[i]])`:
-//!
-//! - The blocked sweep visits the ascending union of all lanes'
-//!   mass-holding nodes; a lane with zero mass at a node contributes
-//!   nothing there (exactly the solo executor's zero-mass skip), so
-//!   each lane sees its solo visit sequence.
-//! - Every per-lane quantity (epsilon drops, dangling mass, restart,
-//!   `l1_bound` decay) is accumulated in its solo order, and all
-//!   propagated values are non-negative, so the shared lane-row zeroing
-//!   of [`BlockSparseWorkspace`] is bitwise invisible (see its docs).
-//!
 //! [`run`]: PersonalizedPageRank::run
 //! [`run_dense`]: PersonalizedPageRank::run_dense
 //! [`frontier_outcome`]: PersonalizedPageRank::frontier_outcome
-//! [`run_block`]: PersonalizedPageRank::run_block
 
 use crate::config::{PprConfig, RandomWalkConfig};
 use crate::context::{top_k_context, CandidateFilter, Context, ContextSelector};
 use crate::error::CoreError;
 use crate::parallel;
 use crate::query::Query;
-use crate::score::{BlockSparseWorkspace, ScoreVec, SparseWorkspace};
+use crate::score::{ScoreVec, SparseWorkspace};
 use nck_graph::{GraphAccess, NodeId};
 use std::sync::Arc;
 
@@ -133,34 +115,6 @@ pub struct PprWorkspace {
 
 impl PprWorkspace {
     /// An empty workspace (sized lazily by the first run).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Scratch state for blocked multi-seed runs
-/// ([`PersonalizedPageRank::run_block`]): two lane-strided
-/// [`BlockSparseWorkspace`]s (current and next mass) plus per-lane
-/// accounting buffers, all epoch-reset and reusable across any number
-/// of blocks — of any width — with zero steady-state allocation.
-#[derive(Debug, Default)]
-pub struct BlockPprWorkspace {
-    p: BlockSparseWorkspace,
-    next: BlockSparseWorkspace,
-    /// Per-lane propagation scale at the node currently being visited.
-    scale: Vec<f64>,
-    /// Per-lane dangling mass of the current iteration.
-    dangling: Vec<f64>,
-    /// Per-lane epsilon-dropped mass of the current iteration.
-    dropped_here: Vec<f64>,
-    /// Per-lane cumulative dropped mass.
-    dropped_mass: Vec<f64>,
-    /// Per-lane running L1 bound.
-    l1_bound: Vec<f64>,
-}
-
-impl BlockPprWorkspace {
-    /// An empty workspace (sized lazily by the first block).
     pub fn new() -> Self {
         Self::default()
     }
@@ -401,131 +355,6 @@ impl<G: GraphAccess> PersonalizedPageRank<G> {
             std::mem::swap(&mut p, &mut next);
         }
         p
-    }
-
-    /// Runs one PageRank **per seed**, all seeds of the block
-    /// simultaneously: one graph sweep per iteration feeds every lane,
-    /// so the adjacency (and, on compact backends, its varint decode)
-    /// is traversed once instead of `seeds.len()` times.
-    ///
-    /// Lane `i` of the result is bit-for-bit identical to
-    /// `frontier_outcome(&[seeds[i]], …)` — scores, `dropped_mass`, and
-    /// `l1_bound` alike (see the [module docs](self) for the visit-order
-    /// argument). Duplicate seeds are independent lanes with identical
-    /// outcomes. An empty block returns an empty vector.
-    pub fn run_block(&self, seeds: &[NodeId], ws: &mut BlockPprWorkspace) -> Vec<PprOutcome> {
-        let lanes = seeds.len();
-        if lanes == 0 {
-            return Vec::new();
-        }
-        let n = self.graph.num_nodes();
-        let c = self.config.damping;
-        let eps = self.config.epsilon;
-        let BlockPprWorkspace {
-            p,
-            next,
-            scale,
-            dangling,
-            dropped_here,
-            dropped_mass,
-            l1_bound,
-        } = ws;
-        scale.clear();
-        scale.resize(lanes, 0.0);
-        dangling.clear();
-        dangling.resize(lanes, 0.0);
-        dropped_here.clear();
-        dropped_here.resize(lanes, 0.0);
-        dropped_mass.clear();
-        dropped_mass.resize(lanes, 0.0);
-        l1_bound.clear();
-        l1_bound.resize(lanes, 0.0);
-        p.begin(n, lanes);
-        for (lane, &s) in seeds.iter().enumerate() {
-            // Single-seed personalization per lane: v = e_seed, so the
-            // solo run's `share` is exactly 1.0.
-            p.add(s, lane, 1.0);
-        }
-        for _ in 0..self.config.iterations {
-            next.begin(n, lanes);
-            dangling.fill(0.0);
-            dropped_here.fill(0.0);
-            // Ascending union-frontier order: restricted to any one
-            // lane's mass-holding nodes this is that lane's solo visit
-            // sequence (zero-mass lanes contribute nothing at a node),
-            // so every lane's f64 accumulation order matches its solo
-            // run. Past half the universe, scan by index instead of
-            // sorting the touched list — same ascending order.
-            let mut body = |ui: u32, masses: &[f64]| {
-                let w_total = self.weights.out_weight[ui as usize];
-                let mut any = false;
-                for (lane, &mass) in masses.iter().enumerate() {
-                    scale[lane] = 0.0;
-                    if mass == 0.0 {
-                        continue;
-                    }
-                    if eps > 0.0 && mass < eps {
-                        dropped_here[lane] += mass;
-                        continue;
-                    }
-                    if w_total <= 0.0 {
-                        dangling[lane] += mass;
-                        continue;
-                    }
-                    scale[lane] = c * mass / w_total;
-                    any = true;
-                }
-                if !any {
-                    return;
-                }
-                let u = NodeId::from_index(ui as usize);
-                for (l, t) in self.graph.edges(u) {
-                    let w = self.weights.label_weight[l.index()];
-                    // One first-touch (stamp + zero fill) per edge; the
-                    // lane loop then accumulates straight into the row,
-                    // branchless so it vectorizes. A zero scale adds
-                    // exactly `+0.0`, which is bitwise invisible: no
-                    // accumulated value is ever `-0.0` (products and
-                    // sums of non-negative factors), and the solo run's
-                    // export filters zero slots either way.
-                    let row = next.row_mut(t);
-                    for (r, &s) in row.iter_mut().zip(scale.iter()) {
-                        *r += s * w;
-                    }
-                }
-            };
-            if p.touched_len() * 2 > n {
-                for ui in 0..n as u32 {
-                    if let Some(masses) = p.row(ui) {
-                        body(ui, masses);
-                    }
-                }
-            } else {
-                p.sort_touched();
-                for &ui in p.touched() {
-                    let Some(masses) = p.row(ui) else { continue };
-                    body(ui, masses);
-                }
-            }
-            for (lane, &s) in seeds.iter().enumerate() {
-                let restart = 1.0 - c + c * dangling[lane];
-                // The solo run computes `restart * v_i` with v_i = 1.0;
-                // multiplying keeps the op sequence literal.
-                next.add(s, lane, restart * 1.0);
-            }
-            for lane in 0..lanes {
-                dropped_mass[lane] += dropped_here[lane];
-                l1_bound[lane] = (l1_bound[lane] + dropped_here[lane]) * c;
-            }
-            std::mem::swap(p, next);
-        }
-        (0..lanes)
-            .map(|lane| PprOutcome {
-                scores: p.export_lane(n, lane),
-                dropped_mass: dropped_mass[lane],
-                l1_bound: l1_bound[lane],
-            })
-            .collect()
     }
 }
 
@@ -952,66 +781,5 @@ mod tests {
         let via_shared = sel.select(&g, &q, 3).unwrap();
         let via_fresh = RandomWalkSelector::default().select(&g, &q, 3).unwrap();
         assert_eq!(via_shared.ranked(), via_fresh.ranked());
-    }
-
-    fn bits(v: &ScoreVec) -> Vec<u64> {
-        v.to_dense().iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// Every lane of a block — including duplicate seeds — must be
-    /// bit-identical to its solo frontier run, at ε = 0 (where the solo
-    /// run is itself pinned to `run_dense`) and under pruning.
-    #[test]
-    fn block_lanes_match_solo_runs_bit_for_bit() {
-        let g = two_communities();
-        let seeds: Vec<NodeId> = ["a0", "b3", "a2", "a0", "b1"]
-            .iter()
-            .map(|n| g.node_by_name(n).unwrap())
-            .collect();
-        for (damping, epsilon) in [(0.2, 0.0), (0.8, 0.0), (0.2, 1e-3), (0.8, 0.05)] {
-            let ppr = PersonalizedPageRank::new(
-                &g,
-                PprConfig {
-                    damping,
-                    epsilon,
-                    ..PprConfig::default()
-                },
-            )
-            .unwrap();
-            let mut bws = BlockPprWorkspace::new();
-            let mut sws = PprWorkspace::new();
-            let block = ppr.run_block(&seeds, &mut bws);
-            assert_eq!(block.len(), seeds.len());
-            for (lane, (&seed, got)) in seeds.iter().zip(&block).enumerate() {
-                let want = ppr.frontier_outcome(&[seed], &mut sws);
-                assert_eq!(
-                    bits(&got.scores),
-                    bits(&want.scores),
-                    "lane {lane} diverged (damping {damping}, eps {epsilon})"
-                );
-                assert_eq!(got.dropped_mass.to_bits(), want.dropped_mass.to_bits());
-                assert_eq!(got.l1_bound.to_bits(), want.l1_bound.to_bits());
-            }
-        }
-    }
-
-    /// Workspace reuse across blocks of different widths (including a
-    /// degenerate width-1 block) must not perturb any lane.
-    #[test]
-    fn block_workspace_reuse_and_width_one_are_exact() {
-        let g = two_communities();
-        let ppr = PersonalizedPageRank::new(&g, PprConfig::default()).unwrap();
-        let a0 = g.node_by_name("a0").unwrap();
-        let b0 = g.node_by_name("b0").unwrap();
-        let mut bws = BlockPprWorkspace::new();
-        let mut sws = PprWorkspace::new();
-        assert!(ppr.run_block(&[], &mut bws).is_empty());
-        for seeds in [vec![a0, b0], vec![b0], vec![a0, b0, a0]] {
-            let block = ppr.run_block(&seeds, &mut bws);
-            for (&seed, got) in seeds.iter().zip(&block) {
-                let want = ppr.frontier_outcome(&[seed], &mut sws);
-                assert_eq!(bits(&got.scores), bits(&want.scores));
-            }
-        }
     }
 }

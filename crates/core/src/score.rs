@@ -463,149 +463,6 @@ impl SparseWorkspace {
     }
 }
 
-/// A lane-strided sibling of [`SparseWorkspace`] for blocked multi-seed
-/// runs: `lanes` independent f64 accumulators per node, stored
-/// node-major (`values[node * lanes + lane]`), sharing one epoch stamp
-/// and one touched list per node.
-///
-/// The first add to a node in an epoch zeroes the node's whole lane row
-/// and then accumulates, so a lane's value is the sum of exactly the
-/// adds directed at it. For the **non-negative** values frontier
-/// algorithms propagate this is bit-identical to a per-lane
-/// [`SparseWorkspace`] (whose first add *assigns*): `0.0 + x == x`
-/// bitwise for every `x >= +0.0`, and no PageRank quantity is ever
-/// `-0.0` (products of non-negative factors).
-///
-/// ```
-/// use nck_core::score::BlockSparseWorkspace;
-/// use nck_graph::NodeId;
-///
-/// let mut ws = BlockSparseWorkspace::new();
-/// ws.begin(8, 2);
-/// ws.add(NodeId::from_index(5), 0, 1.5);
-/// ws.add(NodeId::from_index(5), 1, 0.25);
-/// ws.add(NodeId::from_index(5), 0, 0.5);
-/// assert_eq!(ws.row(5), Some(&[2.0, 0.25][..]));
-/// assert_eq!(ws.row(3), None); // untouched: every lane reads zero
-/// assert_eq!(ws.touched_len(), 1);
-///
-/// ws.begin(8, 2); // new epoch: no allocation, all rows read as zero
-/// assert_eq!(ws.row(5), None);
-/// ```
-#[derive(Debug, Default)]
-pub struct BlockSparseWorkspace {
-    values: Vec<f64>,
-    stamp: Vec<u64>,
-    touched: Vec<u32>,
-    epoch: u64,
-    lanes: usize,
-}
-
-impl BlockSparseWorkspace {
-    /// An empty workspace (sized lazily by [`begin`](Self::begin)).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts a fresh accumulation over `len` nodes with `lanes` lanes
-    /// per node. Storage is grown once and then reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lanes == 0`.
-    pub fn begin(&mut self, len: usize, lanes: usize) {
-        assert!(lanes > 0, "a block needs at least one lane");
-        let need = len * lanes;
-        if self.values.len() < need {
-            self.values.resize(need, 0.0);
-        }
-        if self.stamp.len() < len {
-            self.stamp.resize(len, 0);
-        }
-        self.lanes = lanes;
-        self.epoch += 1;
-        self.touched.clear();
-    }
-
-    /// The lane count of the current epoch.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Adds `value` to `node`'s slot in `lane`, registering the node as
-    /// touched (its remaining lanes read as zero until added to).
-    pub fn add(&mut self, node: NodeId, lane: usize, value: f64) {
-        let i = node.index();
-        let base = i * self.lanes;
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            self.values[base..base + self.lanes].fill(0.0);
-            self.touched.push(i as u32);
-        }
-        self.values[base + lane] += value;
-    }
-
-    /// The node's mutable lane row, first-touching it (zero fill +
-    /// touched registration) if this epoch has not seen it yet. The hot
-    /// path of blocked frontier loops: one stamp check per *edge*
-    /// instead of one per edge × lane, with the caller accumulating
-    /// straight into the returned slice. `row_mut(n)[l] += v` is exactly
-    /// [`add`](Self::add)`(n, l, v)`.
-    pub fn row_mut(&mut self, node: NodeId) -> &mut [f64] {
-        let i = node.index();
-        let base = i * self.lanes;
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            self.values[base..base + self.lanes].fill(0.0);
-            self.touched.push(i as u32);
-        }
-        &mut self.values[base..base + self.lanes]
-    }
-
-    /// The node's lane row this epoch, or `None` when untouched (every
-    /// lane zero) — the scan-mode read of blocked frontier loops.
-    pub fn row(&self, index: u32) -> Option<&[f64]> {
-        let i = index as usize;
-        (self.stamp.get(i) == Some(&self.epoch))
-            .then(|| &self.values[i * self.lanes..(i + 1) * self.lanes])
-    }
-
-    /// Number of nodes touched this epoch (union over all lanes).
-    pub fn touched_len(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// Sorts the touched list ascending in place (idempotent within an
-    /// epoch).
-    pub fn sort_touched(&mut self) {
-        self.touched.sort_unstable();
-    }
-
-    /// The touched node list in its current order; call
-    /// [`sort_touched`](Self::sort_touched) first for ascending order.
-    pub fn touched(&self) -> &[u32] {
-        &self.touched
-    }
-
-    /// Exports one lane as a [`ScoreVec`] over `len` nodes, dropping
-    /// exact zeros (nodes touched only by *other* lanes read zero here
-    /// and are dropped, exactly like a solo run's zero-valued slots);
-    /// auto-densifies past [`DENSIFY_FRACTION`]. Leaves the workspace
-    /// reusable.
-    pub fn export_lane(&mut self, len: usize, lane: usize) -> ScoreVec {
-        self.touched.sort_unstable();
-        let entries: Vec<(NodeId, f64)> = self
-            .touched
-            .iter()
-            .filter_map(|&i| {
-                let s = self.values[i as usize * self.lanes + lane];
-                (s != 0.0).then(|| (NodeId::from_index(i as usize), s))
-            })
-            .collect();
-        ScoreVec::from_entries(len, entries)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,59 +642,5 @@ mod tests {
     fn mismatched_universes_panic() {
         let mut a = ScoreVec::zeros(3);
         a.add_assign(&ScoreVec::zeros(4));
-    }
-
-    /// Every lane of a block workspace must behave exactly like its own
-    /// [`SparseWorkspace`] fed the same adds — including epoch reuse and
-    /// zero-drop on export.
-    #[test]
-    fn block_lanes_match_solo_workspaces_bitwise() {
-        let adds = [
-            (3usize, 0usize, 0.125),
-            (3, 1, 0.5),
-            (1, 0, 0.25),
-            (3, 0, 0.75),
-            (2, 1, 0.0), // zero add: touched but dropped on export
-        ];
-        for _epoch in 0..3 {
-            let mut block = BlockSparseWorkspace::new();
-            block.begin(6, 2);
-            let mut solo = [SparseWorkspace::new(), SparseWorkspace::new()];
-            solo[0].begin(6);
-            solo[1].begin(6);
-            for &(node, lane, v) in &adds {
-                block.add(nid(node), lane, v);
-                solo[lane].add(nid(node), v);
-            }
-            for (lane, s) in solo.iter_mut().enumerate() {
-                let b = block.export_lane(6, lane);
-                let want = s.export(6);
-                assert_eq!(b, want, "lane {lane}");
-                for i in 0..6 {
-                    assert_eq!(b.get(nid(i)).to_bits(), want.get(nid(i)).to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn block_rows_reset_per_epoch_and_grow() {
-        let mut ws = BlockSparseWorkspace::new();
-        ws.begin(2, 3);
-        ws.add(nid(1), 2, 1.0);
-        assert_eq!(ws.lanes(), 3);
-        assert_eq!(ws.row(1), Some(&[0.0, 0.0, 1.0][..]));
-        ws.begin(50, 2); // wider universe, narrower block
-        assert_eq!(ws.row(1), None);
-        ws.add(nid(40), 1, 2.0);
-        ws.sort_touched();
-        assert_eq!(ws.touched(), &[40]);
-        assert_eq!(ws.row(40), Some(&[0.0, 2.0][..]));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one lane")]
-    fn block_with_zero_lanes_panics() {
-        BlockSparseWorkspace::new().begin(4, 0);
     }
 }

@@ -51,7 +51,10 @@
 //! list, same pipeline key) are executed once and fanned back out, and
 //! distinct queries are clustered around their hottest shared seed so
 //! cache hits land before evictions. Groups then execute across worker
-//! threads via the same fork-join helper the pipeline itself uses.
+//! threads, each worker pulling the next group in plan order
+//! ([`nck_core::parallel::map_costliest_first`], the helper FindNC's
+//! label tests use). Every PageRank a group misses is one solo run per
+//! seed under the PPR single-flight, in a batch as in a single request.
 
 use crate::cache::{CacheStats, ShardedLru};
 use crate::flight::SingleFlight;
@@ -62,12 +65,11 @@ use nck_core::context_rw::{ContextRw, MatchWorkspace};
 use nck_core::error::CoreError;
 use nck_core::findnc::{FindNc, SearchResult};
 use nck_core::parallel;
-use nck_core::ppr::{BlockPprWorkspace, EdgeWeights, PersonalizedPageRank, PprWorkspace};
+use nck_core::ppr::{EdgeWeights, PersonalizedPageRank, PprWorkspace};
 use nck_core::query::Query;
 use nck_core::score::ScoreVec;
 use nck_core::sweep::ScoringWorkspace;
 use nck_graph::{GraphAccess, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -108,11 +110,6 @@ pub struct EngineConfig {
     pub context_cache_entries: usize,
     /// Entry bound of the result cache.
     pub result_cache_entries: usize,
-    /// Lock stripes per cache: each cache is split into this many
-    /// independently locked shards selected by key hash, with the entry
-    /// and byte budgets divided evenly across them. Clamped per cache
-    /// to its entry budget (a 1-entry cache stays strictly 1-entry).
-    pub cache_shards: usize,
     /// Worker-thread cap applied to [`nck_core::parallel`] when the
     /// engine is built (`None` = leave the current process-wide cap
     /// untouched). The cap is **process-wide**: the most recently
@@ -124,9 +121,11 @@ pub struct EngineConfig {
     /// to the same result however its work is split, so answers are
     /// identical under any cap; `Some(1)` runs single-threaded.
     pub threads: Option<usize>,
-    /// Let batch groups and PPR block prefills run across worker threads.
-    /// A worker permission only: results are placed per item, so they are
-    /// identical either way (see the [module docs](self)).
+    /// Let a batch's groups run across worker threads, each worker
+    /// pulling the next group in plan order; `false` runs them on the
+    /// calling thread. A worker permission only: results are placed per
+    /// group, so they are identical either way (see the [module
+    /// docs](self)).
     pub parallel: bool,
 }
 
@@ -140,7 +139,6 @@ impl Default for EngineConfig {
             ppr_cache_bytes: 64 << 20,
             context_cache_entries: 512,
             result_cache_entries: 512,
-            cache_shards: 8,
             threads: None,
             parallel: true,
         }
@@ -207,11 +205,11 @@ impl Pipeline {
 /// ([`schedule::canonical_key`]) and the pipeline key.
 type Key = (Vec<NodeId>, Pipeline);
 
-/// Seed lanes per run of the blocked multi-seed PPR kernel
-/// ([`nck_core::ppr::PersonalizedPageRank::run_block`]) that a batch's
-/// distinct seed-cache misses are prefilled through. Every lane is
-/// bit-identical to its solo run, so answers do not depend on it.
-const PPR_BLOCK_WIDTH: usize = 8;
+/// Lock stripes per cache: each cache is split into this many
+/// independently locked shards selected by key hash, with the entry and
+/// byte budgets divided evenly across them. Clamped per cache to its
+/// entry budget (a 1-entry cache stays strictly 1-entry).
+const CACHE_SHARDS: usize = 8;
 
 /// ε as a cache key: its bits, with −0.0 mapped to 0.0 (both run the
 /// exact executor, so they must share entries).
@@ -244,7 +242,10 @@ struct Entry {
     encoded: OnceLock<Arc<Encoded>>,
 }
 
-/// A snapshot of the engine's cache and dedup counters.
+/// A snapshot of the engine's cache and dedup counters. Every PageRank
+/// the engine runs, for a batch or a single request, follows one
+/// counted `ppr` miss; a miss runs nothing only when a concurrent
+/// caller's run answers it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Batches executed so far.
@@ -271,15 +272,6 @@ pub struct EngineStats {
     /// Per-seed PageRank computations coalesced onto a concurrent
     /// caller's.
     pub ppr_coalesced: u64,
-    /// Blocked multi-seed PPR kernel invocations
-    /// ([`QueryEngine::run_batch`]'s distinct-miss prefill; one run
-    /// covers up to 8 seeds).
-    pub ppr_block_runs: u64,
-    /// Seed vectors computed by blocked runs and inserted into the PPR
-    /// cache. Blocked fills bypass the per-seed miss path, so this —
-    /// not `ppr.misses` — accounts for their computations; the filled
-    /// seeds then surface as `ppr.hits` when their groups execute.
-    pub ppr_lanes_filled: u64,
     /// Labels scored by the discrimination stage across executed
     /// (non-cached) queries — the scoring-stage work the caches did
     /// *not* absorb.
@@ -317,19 +309,17 @@ pub struct QueryEngine<G: GraphAccess + Sync> {
     executed_groups: AtomicU64,
     deduplicated: AtomicU64,
     weight_builds: AtomicU64,
-    ppr_block_runs: AtomicU64,
-    ppr_lanes_filled: AtomicU64,
     labels_scored: AtomicU64,
     ppr_workspaces: WorkspacePool,
 }
 
-/// A pool of scratch workspaces — PageRank (solo and blocked),
-/// ContextRW metapath matching and scoring-sweep — checked out around
-/// each computation and returned afterwards, so repeated queries, block
-/// fills, context selections and label sweeps reuse their scratch
-/// instead of allocating it per query (and per single-flight leader).
+/// A pool of scratch workspaces — PageRank, ContextRW metapath
+/// matching and scoring-sweep — checked out around each computation and
+/// returned afterwards, so repeated queries, context selections and
+/// label sweeps reuse their scratch instead of allocating it per query
+/// (and per single-flight leader).
 ///
-/// All four pool mutexes are **leaves** of the engine's lock
+/// All three pool mutexes are **leaves** of the engine's lock
 /// hierarchy: each checkout/putback locks, pops or pushes, and releases
 /// before any computation or cache/flight call — a guard is never held
 /// across another acquisition (`nck-lint`'s lock-order rule classes
@@ -337,35 +327,22 @@ pub struct QueryEngine<G: GraphAccess + Sync> {
 /// `scoring_workspace_pool` and would flag any nesting).
 #[derive(Debug, Default)]
 struct WorkspacePool {
-    solo: std::sync::Mutex<Vec<PprWorkspace>>,
-    block: std::sync::Mutex<Vec<BlockPprWorkspace>>,
+    ppr: std::sync::Mutex<Vec<PprWorkspace>>,
     matching: std::sync::Mutex<Vec<MatchWorkspace>>,
     scoring: std::sync::Mutex<Vec<ScoringWorkspace>>,
 }
 
 impl WorkspacePool {
-    fn checkout_solo(&self) -> PprWorkspace {
-        self.solo
+    fn checkout_ppr(&self) -> PprWorkspace {
+        self.ppr
             .lock()
             .expect("workspace pool lock")
             .pop()
             .unwrap_or_default()
     }
 
-    fn put_solo(&self, ws: PprWorkspace) {
-        self.solo.lock().expect("workspace pool lock").push(ws);
-    }
-
-    fn checkout_block(&self) -> BlockPprWorkspace {
-        self.block
-            .lock()
-            .expect("workspace pool lock")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn put_block(&self, ws: BlockPprWorkspace) {
-        self.block.lock().expect("workspace pool lock").push(ws);
+    fn put_ppr(&self, ws: PprWorkspace) {
+        self.ppr.lock().expect("workspace pool lock").push(ws);
     }
 
     fn checkout_matching(&self) -> MatchWorkspace {
@@ -424,12 +401,12 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             findnc: FindNc::new(config.findnc.clone()),
             weights,
             ppr_cache: ShardedLru::with_max_bytes(
-                config.cache_shards,
+                CACHE_SHARDS,
                 config.ppr_cache_entries,
                 config.ppr_cache_bytes,
             ),
-            context_cache: ShardedLru::new(config.cache_shards, config.context_cache_entries),
-            result_cache: ShardedLru::new(config.cache_shards, config.result_cache_entries),
+            context_cache: ShardedLru::new(CACHE_SHARDS, config.context_cache_entries),
+            result_cache: ShardedLru::new(CACHE_SHARDS, config.result_cache_entries),
             ppr_flight: SingleFlight::new(),
             context_flight: SingleFlight::new(),
             result_flight: SingleFlight::new(),
@@ -438,8 +415,6 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             executed_groups: AtomicU64::new(0),
             deduplicated: AtomicU64::new(0),
             weight_builds,
-            ppr_block_runs: AtomicU64::new(0),
-            ppr_lanes_filled: AtomicU64::new(0),
             labels_scored: AtomicU64::new(0),
             ppr_workspaces: WorkspacePool::default(),
             config,
@@ -657,12 +632,12 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         // below — with ε > 0, all seeds compute allocation-free in
         // steady state (at ε = 0 the dense executor runs and allocates
         // per seed, exactly as the pre-sparse engine did).
-        let mut ws = self.ppr_workspaces.checkout_solo();
+        let mut ws = self.ppr_workspaces.checkout_ppr();
         for &seed in query.nodes() {
             let v = self.ppr_vector(seed, epsilon, &ppr, &mut ws);
             acc.add_assign(&v);
         }
-        self.ppr_workspaces.put_solo(ws);
+        self.ppr_workspaces.put_ppr(ws);
         let filter = CandidateFilter::new(&self.graph, query, type_filter);
         top_k_context(&self.graph, query, acc.iter(), &filter, context_size)
     }
@@ -710,10 +685,11 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         self.weights.get().cloned()
     }
 
-    /// Executes a batch: plans it (dedup + seed clustering), prefills the
-    /// PPR cache through the blocked multi-seed kernel (RandomWalk groups with at least two
-    /// distinct seed misses), runs the distinct groups across worker
-    /// threads, and fans results back out to input order.
+    /// Executes a batch: plans it (dedup + seed clustering), runs the
+    /// distinct groups across worker threads, each worker pulling the
+    /// next group in plan order, and fans results back out to input
+    /// order. A group's PageRank misses run one seed at a time under the
+    /// per-seed single-flight, exactly as a single request's do.
     /// `results[i]` answers `queries[i]`; the first failing group (in
     /// plan order) aborts the batch with its error.
     pub fn run_batch(&self, queries: &[Query]) -> Result<Vec<Arc<SearchResult>>, CoreError> {
@@ -744,31 +720,25 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         let plan = schedule::plan(&keys);
         self.deduplicated
             .fetch_add(plan.deduplicated() as u64, Ordering::Relaxed);
-        self.prefill_ppr_blocks(&plan, &keys);
         let groups = &plan.groups;
-        // The fold keeps range order, so per-group results come back
-        // sorted by group index and error selection is deterministic.
-        let per_group: Vec<(usize, Result<Arc<Entry>, CoreError>)> = parallel::map_chunks(
-            groups.len(),
-            self.config.parallel && groups.len() > 1,
-            |_chunk, range| {
-                range
-                    .map(|gi| {
-                        let rep = groups[gi].representative;
-                        (gi, self.run_planned(queries[rep], &keys[rep]))
-                    })
-                    .collect::<Vec<_>>()
-            },
-            Vec::new(),
-            |mut acc, part| {
-                acc.extend(part);
-                acc
-            },
-        );
+        let run_group = |gi: usize| {
+            let rep = groups[gi].representative;
+            self.run_planned(queries[rep], &keys[rep])
+        };
+        // One flat cost keeps the pull order the plan's. Group costs
+        // differ (the planner sorts by seed, not by work), so pulling one
+        // group at a time balances workers where contiguous ranges would
+        // not. Results come back in plan order, so error selection is
+        // deterministic.
+        let per_group = if self.config.parallel {
+            parallel::map_costliest_first(groups.len(), |_| 0, run_group)
+        } else {
+            (0..groups.len()).map(run_group).collect()
+        };
         let mut out: Vec<Option<Arc<SearchResult>>> = vec![None; queries.len()];
-        for (gi, entry) in per_group {
+        for (group, entry) in groups.iter().zip(per_group) {
             let entry = entry?;
-            for &pos in &groups[gi].positions {
+            for &pos in &group.positions {
                 out[pos] = Some(Arc::clone(&entry.result));
             }
         }
@@ -820,93 +790,6 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         Ok(out)
     }
 
-    /// Gathers the batch's **distinct seed-cache misses**, separately
-    /// for each ε its RandomWalk groups run under, into blocks of
-    /// [`PPR_BLOCK_WIDTH`] lanes, runs the blocked multi-seed kernel
-    /// once per block (whole blocks fan across workers), and fills the
-    /// PPR cache with the per-lane `Arc<ScoreVec>`s — so when the groups
-    /// execute, their `ppr_vector` calls hit instead of sweeping the
-    /// graph once per seed. An ε with a lone miss is left to the solo
-    /// executor inside its group; a no-op for batches without
-    /// RandomWalk groups.
-    ///
-    /// Every lane is bit-identical to the solo run the miss path would
-    /// have performed (the kernel's contract), so prefilled answers are
-    /// indistinguishable from per-seed ones — a racing `ppr_vector`
-    /// leader between our probe and insert merely duplicates exact work,
-    /// the same argument the single-flight layer already makes. The
-    /// cache probe uses `peek` (uncounted): prefilled seeds surface as
-    /// ordinary hits later, and `ppr_lanes_filled` accounts the blocked
-    /// computations.
-    fn prefill_ppr_blocks(&self, plan: &schedule::BatchPlan, keys: &[Key]) {
-        let mut seeds: BTreeMap<u64, BTreeSet<NodeId>> = BTreeMap::new();
-        for group in &plan.groups {
-            let (query_seeds, pipeline) = &keys[group.representative];
-            if let Pipeline::RandomWalk { epsilon, .. } = *pipeline {
-                seeds.entry(epsilon).or_default().extend(query_seeds);
-            }
-        }
-        let mut rankers = Vec::new();
-        for (epsilon, seeds) in seeds {
-            let misses: Vec<NodeId> = seeds
-                .into_iter()
-                .filter(|&s| self.ppr_cache.peek(&(s, epsilon)).is_none())
-                .collect();
-            // Nothing to amortize: a lone miss runs solo in its group.
-            // An invalid ε fails there too, with the pipeline's error.
-            if misses.len() < 2 {
-                continue;
-            }
-            if let Ok(ppr) = self.ranker(epsilon) {
-                rankers.push((epsilon, ppr, misses));
-            }
-        }
-        let blocks: Vec<(usize, &[NodeId])> = rankers
-            .iter()
-            .enumerate()
-            .flat_map(|(r, (_, _, misses))| misses.chunks(PPR_BLOCK_WIDTH).map(move |b| (r, b)))
-            .collect();
-        if blocks.is_empty() {
-            return;
-        }
-        let filled: Vec<((NodeId, u64), Arc<ScoreVec>)> = parallel::map_chunks(
-            blocks.len(),
-            self.config.parallel && blocks.len() > 1,
-            |_chunk, range| {
-                // One pooled workspace per chunk, reused across its
-                // blocks; returned before the fold.
-                let mut ws = self.ppr_workspaces.checkout_block();
-                let mut out: Vec<((NodeId, u64), Arc<ScoreVec>)> = Vec::new();
-                for bi in range {
-                    let (r, block) = blocks[bi];
-                    let (epsilon, ppr, _) = &rankers[r];
-                    let lanes = ppr.run_block(block, &mut ws);
-                    out.extend(
-                        block
-                            .iter()
-                            .map(|&seed| (seed, *epsilon))
-                            .zip(lanes.into_iter().map(|o| Arc::new(o.scores))),
-                    );
-                }
-                self.ppr_workspaces.put_block(ws);
-                out
-            },
-            Vec::new(),
-            |mut acc, part| {
-                acc.extend(part);
-                acc
-            },
-        );
-        self.ppr_block_runs
-            .fetch_add(blocks.len() as u64, Ordering::Relaxed);
-        self.ppr_lanes_filled
-            .fetch_add(filled.len() as u64, Ordering::Relaxed);
-        for (key, v) in filled {
-            let cost = v.approx_bytes();
-            self.ppr_cache.insert_with_cost(key, v, cost);
-        }
-    }
-
     /// Snapshot of the cache and dedup counters.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
@@ -918,8 +801,6 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             result_coalesced: self.result_flight.coalesced(),
             context_coalesced: self.context_flight.coalesced(),
             ppr_coalesced: self.ppr_flight.coalesced(),
-            ppr_block_runs: self.ppr_block_runs.load(Ordering::Relaxed),
-            ppr_lanes_filled: self.ppr_lanes_filled.load(Ordering::Relaxed),
             labels_scored: self.labels_scored.load(Ordering::Relaxed),
             ppr: self.ppr_cache.stats(),
             context: self.context_cache.stats(),
@@ -1136,12 +1017,10 @@ mod tests {
         );
     }
 
-    /// A RandomWalk batch served through the blocked kernel must be
-    /// id-for-id and bit-for-bit identical to per-query runs, which take
-    /// the solo executor, with the block counters accounting for every
-    /// distinct seed.
+    /// A RandomWalk batch must be id-for-id and bit-for-bit identical to
+    /// per-query runs, and compute each distinct seed's PageRank once.
     #[test]
-    fn blocked_batch_matches_per_seed_batch_bit_for_bit() {
+    fn randomwalk_batch_matches_per_query_runs_bit_for_bit() {
         use nck_core::config::PprConfig;
         let g = leaders();
         let rw = RandomWalkConfig {
@@ -1164,10 +1043,10 @@ mod tests {
                 Query::by_names(&g, [format!("leader{i}"), format!("leader{}", i + 8)]).unwrap()
             })
             .collect();
-        let per_seed = QueryEngine::new(&g, base.clone()).unwrap();
-        let blocked = QueryEngine::new(&g, base.clone()).unwrap();
-        let a: Vec<Arc<SearchResult>> = queries.iter().map(|q| per_seed.run(q).unwrap()).collect();
-        let b = blocked.run_batch(&queries).unwrap();
+        let per_query = QueryEngine::new(&g, base.clone()).unwrap();
+        let batched = QueryEngine::new(&g, base).unwrap();
+        let a: Vec<Arc<SearchResult>> = queries.iter().map(|q| per_query.run(q).unwrap()).collect();
+        let b = batched.run_batch(&queries).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.context.ranked(), y.context.ranked(), "contexts agree");
             assert_eq!(x.characteristics.len(), y.characteristics.len());
@@ -1175,18 +1054,12 @@ mod tests {
                 assert_eq!((cx.label, cx.score), (cy.label, cy.score));
             }
         }
-        let s = blocked.stats();
-        assert_eq!(s.ppr_lanes_filled, 16, "every distinct seed block-filled");
-        assert_eq!(s.ppr_block_runs, 2, "16 seeds in width-8 blocks");
-        assert_eq!(s.ppr.misses, 0, "group execution hits the prefill");
-        assert!(s.ppr.hits >= 16);
-        let s1 = per_seed.stats();
-        assert_eq!(s1.ppr_block_runs, 0, "single runs never block");
-        assert_eq!(s1.ppr_lanes_filled, 0);
-        assert_eq!(s1.ppr.misses, 16, "per-query runs miss each seed");
-        // A warm repeat prefills nothing: every seed peeks as cached.
-        blocked.run_batch(&queries).unwrap();
-        assert_eq!(blocked.stats().ppr_lanes_filled, 16);
+        // No two groups share a seed, so no miss is a coalesced waiter.
+        assert_eq!(batched.stats().ppr.misses, 16, "one miss per seed");
+        assert_eq!(per_query.stats().ppr.misses, 16);
+        // A warm repeat computes nothing.
+        batched.run_batch(&queries).unwrap();
+        assert_eq!(batched.stats().ppr.misses, 16);
     }
 
     fn randomwalk_config() -> EngineConfig {
@@ -1272,10 +1145,10 @@ mod tests {
         assert_eq!(alone.context.ranked(), results[1].context.ranked());
     }
 
-    /// Blocked prefill gathers misses per ε: two ε values over the same
-    /// seeds fill two sets of lanes, each bit-equal to its solo run.
+    /// The PPR cache keys on ε: the same seeds under two ε values miss
+    /// separately, and each answer equals its single run.
     #[test]
-    fn blocked_prefill_gathers_misses_per_epsilon() {
+    fn batch_seeds_miss_once_per_epsilon() {
         let g = leaders();
         let queries: Vec<Query> = (0..2)
             .map(|i| {
@@ -1290,11 +1163,9 @@ mod tests {
             .iter()
             .flat_map(|q| [(q.clone(), Overrides::default()), (q.clone(), sparse)])
             .collect();
-        let blocked = QueryEngine::new(&g, randomwalk_config()).unwrap();
-        let results = blocked.run_batch_with(&batch).unwrap();
-        let s = blocked.stats();
-        assert_eq!(s.ppr_lanes_filled, 8, "4 seeds at each of 2 ε");
-        assert_eq!(s.ppr.misses, 0, "group execution hits the prefill");
+        let engine = QueryEngine::new(&g, randomwalk_config()).unwrap();
+        let results = engine.run_batch_with(&batch).unwrap();
+        assert_eq!(engine.stats().ppr.misses, 8, "4 seeds at each of 2 ε");
         let solo = QueryEngine::new(&g, randomwalk_config()).unwrap();
         for ((q, o), r) in batch.iter().zip(&results) {
             let want = solo.run_with(q, o).unwrap();

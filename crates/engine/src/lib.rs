@@ -22,9 +22,10 @@
 //! - **[`schedule`]** — the deterministic batch planner: exact repeats
 //!   collapse to one execution, distinct queries cluster around their
 //!   hottest shared seed so cache hits land before evictions;
-//! - **[`engine`]** — [`QueryEngine`] itself: plans, prefills a
-//!   RandomWalk batch's distinct PPR misses through the blocked kernel,
-//!   executes groups across worker threads, and fans results back out. It derives
+//! - **[`engine`]** — [`QueryEngine`] itself: plans, lets worker
+//!   threads pull the groups one at a time, and fans results back out;
+//!   every PageRank miss, in a batch or not, is one solo run per seed.
+//!   It derives
 //!   the Eq.-1 weight table at most once: at construction in RandomWalk
 //!   mode, else on the first `selector: RandomWalk` override.
 //!

@@ -1,20 +1,43 @@
 //! Runtime experiments (Figures 5 and 6), wall-clock measured in-process.
 //!
-//! Criterion benches in `nck-bench` measure the same quantities with
-//! statistical rigor; these harness versions print the paper-style rows
-//! quickly inside `reproduce`.
+//! Each cell is the median of five timed selections after one untimed
+//! warm-up, so one slow run (a page fault, a preempted thread) does not
+//! decide a cell. Criterion benches in `nck-bench` measure the same
+//! quantities with statistical rigor; these harness versions print the
+//! paper-style rows quickly inside `reproduce`.
 
 use crate::env::EvalEnv;
 use crate::report::{secs, Report};
 use nck_core::context::ContextSelector;
 use nck_datagen::DomainId;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Timed runs per table cell; the cell reports their median.
+const TIMED_RUNS: usize = 5;
+
+/// The median wall time of [`TIMED_RUNS`] calls of `run`, after one
+/// untimed warm-up call.
+fn median_time(mut run: impl FnMut()) -> Duration {
+    run();
+    let mut times: Vec<Duration> = (0..TIMED_RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            run();
+            start.elapsed()
+        })
+        .collect();
+    times.sort_unstable();
+    times[TIMED_RUNS / 2]
+}
 
 /// Figure 5: context-selection time vs |Q| for both algorithms.
 pub fn fig5(env: &EvalEnv) -> Report {
     let mut r = Report::new(
         "fig5",
-        "context-selection time (s) vs query size |Q|, actors domain, YAGO-like",
+        format!(
+            "context-selection time (s) vs query size |Q|, actors domain, YAGO-like; \
+             median of {TIMED_RUNS} timed runs after 1 warm-up"
+        ),
     );
     let specs = env.yago.queries_for(DomainId::Actors);
     let header = ["algorithm", "|Q|=2", "|Q|=3", "|Q|=4", "|Q|=5", "|Q|=6"];
@@ -29,11 +52,11 @@ pub fn fig5(env: &EvalEnv) -> Report {
         let mut row = vec![name.to_owned()];
         for spec in &specs {
             let query = env.query(&env.yago, spec);
-            let start = Instant::now();
-            let _ctx = selector
-                .select(&env.yago.graph, &query, 100)
-                .expect("selection failed");
-            row.push(secs(start.elapsed()));
+            row.push(secs(median_time(|| {
+                selector
+                    .select(&env.yago.graph, &query, 100)
+                    .expect("selection failed");
+            })));
         }
         rows.push(row);
     }
@@ -48,7 +71,10 @@ pub fn fig5(env: &EvalEnv) -> Report {
 pub fn fig6(env: &EvalEnv) -> Report {
     let mut r = Report::new(
         "fig6",
-        "ContextRW time (s) vs maximum metapath length, actors domain",
+        format!(
+            "ContextRW time (s) vs maximum metapath length, actors domain; \
+             median of {TIMED_RUNS} timed runs after 1 warm-up"
+        ),
     );
     let specs = env.yago.queries_for(DomainId::Actors);
     let lengths = [5usize, 10, 15, 20];
@@ -62,11 +88,11 @@ pub fn fig6(env: &EvalEnv) -> Report {
         let mut row = vec![spec.label()];
         for &len in &lengths {
             let selector = env.context_rw_with(env.walks, 5, len);
-            let start = Instant::now();
-            let _ctx = selector
-                .select(&env.yago.graph, &query, 100)
-                .expect("selection failed");
-            row.push(secs(start.elapsed()));
+            row.push(secs(median_time(|| {
+                selector
+                    .select(&env.yago.graph, &query, 100)
+                    .expect("selection failed");
+            })));
         }
         rows.push(row);
     }
@@ -93,5 +119,13 @@ mod tests {
         let r = fig5(&env);
         assert!(r.body.contains("ContextRW"));
         assert!(r.body.contains("RandomWalk"));
+        assert!(r.title.contains("median of 5 timed runs after 1 warm-up"));
+    }
+
+    #[test]
+    fn median_time_warms_up_once_then_times_five_runs() {
+        let mut calls = 0;
+        median_time(|| calls += 1);
+        assert_eq!(calls, 1 + TIMED_RUNS);
     }
 }

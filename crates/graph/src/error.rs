@@ -15,13 +15,6 @@ pub enum GraphError {
     UnknownNodeType(String),
     /// A cycle was detected where a DAG is required (taxonomy).
     TaxonomyCycle(String),
-    /// A line of an input file could not be parsed.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
     /// A compact binary graph file was malformed, corrupt or unsupported
     /// (bad magic, wrong version, truncation, checksum mismatch,
     /// inconsistent tables).
@@ -39,9 +32,6 @@ impl fmt::Display for GraphError {
             GraphError::UnknownNodeType(name) => write!(f, "unknown node type: {name:?}"),
             GraphError::TaxonomyCycle(name) => {
                 write!(f, "taxonomy cycle involving type {name:?}")
-            }
-            GraphError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
             }
             GraphError::Format(message) => {
                 write!(f, "invalid compact graph file: {message}")
@@ -75,12 +65,9 @@ mod tests {
         assert!(GraphError::UnknownNode("X".into())
             .to_string()
             .contains("X"));
-        assert!(GraphError::Parse {
-            line: 3,
-            message: "bad".into()
-        }
-        .to_string()
-        .contains("line 3"));
+        assert!(GraphError::Format("bad magic".into())
+            .to_string()
+            .contains("bad magic"));
         let io = GraphError::from(std::io::Error::other("boom"));
         assert!(io.to_string().contains("boom"));
     }

@@ -1,23 +1,16 @@
-//! Graph exchange formats.
+//! The compact binary graph file.
 //!
-//! Two formats with different jobs:
-//!
-//! - [`tsv`] — the human-readable TSV triple format (one logical triple
-//!   per line). Portable and diffable, but loading re-parses, re-interns
-//!   and re-closes the graph under inversion: O(|E|) work per open.
 //! - [`binary`] — the compact binary image described in
 //!   [`crate::compact`]. `nck build-graph` compiles triples into it once;
 //!   a server then opens it with [`load_compact`], which memory-maps the
 //!   file where the platform supports it (falling back to a single
 //!   `read`), verifies the checksum, and serves adjacency straight from
 //!   the mapped bytes.
+//! - [`mmap`] — the read-only file mapping behind [`load_compact`].
 //!
-//! The TSV entry points are re-exported here so pre-existing
-//! `nck_graph::io::{read_tsv, ...}` paths keep working.
+//! Triples are exchanged as N-Triples through the `nck-store` crate.
 
 pub mod binary;
 pub mod mmap;
-pub mod tsv;
 
 pub use binary::{load_compact, read_compact, save_compact, write_compact};
-pub use tsv::{load_tsv, read_tsv, save_tsv, write_tsv, SUBTYPE_PREDICATE, TYPE_PREDICATE};

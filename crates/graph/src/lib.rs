@@ -25,8 +25,9 @@
 //! - [`graph`] — the immutable [`KnowledgeGraph`] query API;
 //! - [`taxonomy`] — the node-type hierarchy (YAGO's `subclassOf` DAG);
 //! - [`stats`] — label-frequency and degree statistics feeding Eq. 1;
-//! - [`io`] — exchange formats: TSV triples and the compact binary graph
-//!   file (with a memory-mapped zero-copy loader on Unix).
+//! - [`io`] — the compact binary graph file (with a memory-mapped
+//!   zero-copy loader on Unix); triples are exchanged as N-Triples
+//!   through `nck-store`.
 
 // `deny` rather than `forbid` so the one mmap module can locally allow
 // its two syscall bindings; everything else stays safe code.

@@ -3,7 +3,6 @@
 #![forbid(unsafe_code)]
 
 use nck_graph::builder::GraphBuilder;
-use nck_graph::io::{read_tsv, write_tsv};
 use nck_graph::stats::GraphStatistics;
 use nck_graph::varint::{encode_run, RunDecoder};
 use nck_graph::{CompactGraph, GraphAccess};
@@ -102,31 +101,6 @@ proptest! {
         let g = build(&ts);
         let sum: f64 = g.labels().iter().map(|l| g.label_frequency(l)).sum();
         prop_assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tsv_round_trip_preserves_structure(ts in triples()) {
-        let g = build(&ts);
-        let mut buf = Vec::new();
-        write_tsv(&g, &mut buf).unwrap();
-        let g2 = read_tsv(&buf[..]).unwrap();
-        prop_assert_eq!(g2.num_logical_edges(), g.num_logical_edges());
-        prop_assert_eq!(g2.num_nodes(), g.num_nodes());
-        // Same adjacency under name translation.
-        for v in g.nodes() {
-            let v2 = g2.node_by_name(g.node_name(v)).unwrap();
-            let mut e1: Vec<(String, String)> = g
-                .edges(v)
-                .map(|(l, t)| (g.label_name(l).to_owned(), g.node_name(t).to_owned()))
-                .collect();
-            let mut e2: Vec<(String, String)> = g2
-                .edges(v2)
-                .map(|(l, t)| (g2.label_name(l).to_owned(), g2.node_name(t).to_owned()))
-                .collect();
-            e1.sort();
-            e2.sort();
-            prop_assert_eq!(e1, e2);
-        }
     }
 
     #[test]

@@ -134,13 +134,12 @@ impl LintConfig {
                 // Per-connection writer mutex (innermost: held only for
                 // the duration of one frame write).
                 LockClassSpec::mutex("serve/src/server.rs", Some("writer"), "conn_writer"),
-                // The engine's PPR workspace pool (solo and blocked
-                // scratch): leaf mutexes, locked only for a pop or push
-                // and never held across another acquisition.
-                LockClassSpec::mutex("engine/src/engine.rs", Some("solo"), "ppr_workspace_pool"),
-                LockClassSpec::mutex("engine/src/engine.rs", Some("block"), "ppr_workspace_pool"),
+                // The engine's PPR workspace pool: a leaf mutex, locked
+                // only for a pop or push and never held across another
+                // acquisition.
+                LockClassSpec::mutex("engine/src/engine.rs", Some("ppr"), "ppr_workspace_pool"),
                 // The ContextRW matching and scoring-workspace pools:
-                // leaves like the PPR pools, locked only to check a
+                // leaves like the PPR pool, locked only to check a
                 // workspace out or put it back.
                 LockClassSpec::mutex(
                     "engine/src/engine.rs",

@@ -65,7 +65,10 @@ pub fn to_knowledge_graph(store: &TripleStore) -> KnowledgeGraph {
 /// One class of nodes does not survive: an **isolated, untyped node**
 /// (no edges in either direction, no `rdf:type`) appears in no
 /// statement — triples cannot express a bare node — so it is absent
-/// from the export and from any re-import.
+/// from the export and from any re-import. Nor does a **symmetric
+/// label** (its own inverse, such as datagen's `isMarriedTo`): both
+/// stored directions are written, and the re-import reads them as two
+/// logical edges of an ordinary label, each with an `l⁻¹` mirror.
 /// Used by the `nck gen` CLI to persist datagen graphs as N-Triples and
 /// by the format-parity tests.
 pub fn to_triple_store(graph: &KnowledgeGraph) -> TripleStore {

@@ -54,13 +54,12 @@ fn engine_config() -> EngineConfig {
     }
 }
 
-/// Caches one entry per shard: 4 stripes, 4 entries each cache, so
-/// every shard holds exactly one entry and concurrent distinct keys
-/// evict each other constantly.
+/// Caches one entry per shard: 4 entries each cache, which clamps the
+/// engine's stripes to 4, so every shard holds exactly one entry and
+/// concurrent distinct keys evict each other constantly.
 fn one_entry_per_shard_config() -> EngineConfig {
     EngineConfig {
         findnc: pipeline_config(),
-        cache_shards: 4,
         ppr_cache_entries: 4,
         context_cache_entries: 4,
         result_cache_entries: 4,

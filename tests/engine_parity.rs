@@ -1,6 +1,8 @@
 //! Engine cache correctness: batched execution through `nck-engine` must
 //! be id-for-id identical to sequential `FindNc::discover` on **both**
-//! graph backends, including under forced cache eviction.
+//! graph backends, including under forced cache eviction, and a
+//! RandomWalk batch identical to one request at a time under any worker
+//! cap.
 
 #![forbid(unsafe_code)]
 
@@ -9,7 +11,7 @@ use notable_characteristics::core::context::TypeFilter;
 use notable_characteristics::core::findnc::{FindNc, SearchResult};
 use notable_characteristics::core::query::Query;
 use notable_characteristics::datagen::{generate, DomainId, GeneratorConfig};
-use notable_characteristics::engine::{EngineConfig, QueryEngine};
+use notable_characteristics::engine::{EngineConfig, Overrides, QueryEngine, SelectorMode};
 use notable_characteristics::graph::{CompactGraph, GraphAccess};
 use notable_characteristics::store::graph_view::{to_knowledge_graph, to_triple_store};
 
@@ -189,4 +191,81 @@ fn eviction_under_pressure_keeps_results_exact() {
         "one-deep caches must evict under an 8-query workload"
     );
     check_backend("compact/tight", &cg, &names, tight);
+}
+
+/// A RandomWalk batch of distinct seed lists, one exact repeat and one
+/// ε = 1e-4 override, on both graph formats and under worker caps 1, 2,
+/// 16 and unset: every answer equals its own `run_with` on a fresh
+/// engine bit for bit, and each distinct (seed, ε) pair is computed
+/// once. No two groups share a seed, so no miss is a coalesced waiter.
+#[test]
+fn randomwalk_batch_matches_single_requests_under_any_worker_cap() {
+    use notable_characteristics::core::parallel;
+
+    let dataset = generate(&GeneratorConfig::tiny(13));
+    let members = &dataset
+        .domain(DomainId::Actors)
+        .expect("actors domain")
+        .members;
+    let name = |i: usize| dataset.graph.node_name(members[i]).to_owned();
+    let seed_lists = [vec![0, 1], vec![2, 3], vec![4], vec![5, 6, 7]];
+    let sparse = Overrides {
+        epsilon: Some(1e-4),
+        ..Overrides::default()
+    };
+    // (seed list, override): the lists plain, the first repeated, the
+    // second again under ε = 1e-4.
+    let requests: Vec<(Vec<String>, Overrides)> = seed_lists
+        .iter()
+        .map(|list| (list.clone(), Overrides::default()))
+        .chain([(seed_lists[0].clone(), Overrides::default())])
+        .chain([(seed_lists[1].clone(), sparse)])
+        .map(|(list, o)| (list.into_iter().map(name).collect(), o))
+        .collect();
+    let distinct_pairs = 8 + 2;
+
+    let kg = to_knowledge_graph(&to_triple_store(&dataset.graph));
+    let cg = CompactGraph::from_graph(&kg);
+    let config = EngineConfig {
+        findnc: pipeline_config(),
+        selector: SelectorMode::RandomWalk,
+        ..EngineConfig::default()
+    };
+
+    fn check<G: GraphAccess + Sync>(
+        label: &str,
+        graph: &G,
+        requests: &[(Vec<String>, Overrides)],
+        config: &EngineConfig,
+        distinct_pairs: u64,
+    ) {
+        let batch: Vec<(Query, Overrides)> = requests
+            .iter()
+            .map(|(names, o)| (Query::by_names(graph, names).expect("seeds resolve"), *o))
+            .collect();
+        let want: Vec<_> = batch
+            .iter()
+            .map(|(q, o)| {
+                let single = QueryEngine::new(graph, config.clone()).expect("engine builds");
+                single.run_with(q, o).expect("single request")
+            })
+            .collect();
+        for cap in [Some(1), Some(2), Some(16), None] {
+            parallel::set_thread_cap(cap);
+            let engine = QueryEngine::new(graph, config.clone()).expect("engine builds");
+            let got = engine.run_batch_with(&batch).expect("batch");
+            let run = format!("{label}, cap {cap:?}");
+            for (a, b) in want.iter().zip(&got) {
+                assert_identical(&run, a, b);
+            }
+            let stats = engine.stats();
+            assert_eq!(stats.deduplicated, 1, "{run}: the exact repeat");
+            assert_eq!(stats.ppr.misses, distinct_pairs, "{run}: one run per pair");
+        }
+    }
+
+    let base = parallel::thread_cap();
+    check("csr", &kg, &requests, &config, distinct_pairs);
+    check("compact", &cg, &requests, &config, distinct_pairs);
+    parallel::set_thread_cap(base);
 }

@@ -9,11 +9,18 @@
 //!   epsilon-derived L1 bound the run itself reports
 //!   (`Σ_t dropped_t · c^(K−t+1)`, see `nck_core::ppr`), and within the
 //!   coarse analytic bound `iterations · ε · |V|`.
+//! - Per-seed runs, the only way the engine computes a PageRank vector:
+//!   a workspace reused across seeds (as the engine's pool hands them
+//!   out) answers exactly as a fresh one, and fanning the seeds across
+//!   workers in any pull order returns the same bits in seed order.
 
 #![forbid(unsafe_code)]
 
+use std::sync::Mutex;
+
 use notable_characteristics::core::config::PprConfig;
-use notable_characteristics::core::ppr::{PersonalizedPageRank, PprWorkspace};
+use notable_characteristics::core::parallel;
+use notable_characteristics::core::ppr::{PersonalizedPageRank, PprOutcome, PprWorkspace};
 use notable_characteristics::core::score::ScoreVec;
 use notable_characteristics::graph::builder::GraphBuilder;
 use notable_characteristics::graph::{
@@ -55,6 +62,80 @@ fn config(damping_low: u8, epsilon: f64) -> PprConfig {
 
 fn bits(v: &ScoreVec) -> Vec<u64> {
     v.to_dense().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every bit of one run: scores, dropped mass and the reported L1 bound.
+fn outcome_bits(o: &PprOutcome) -> (Vec<u64>, u64, u64) {
+    (
+        bits(&o.scores),
+        o.dropped_mass.to_bits(),
+        o.l1_bound.to_bits(),
+    )
+}
+
+/// ε = 0 for `eps_exp == 0`, else `10^-eps_exp`.
+fn epsilon(eps_exp: u32) -> f64 {
+    if eps_exp == 0 {
+        0.0
+    } else {
+        10f64.powi(-(eps_exp as i32))
+    }
+}
+
+/// Resolves `n{i}` names on `graph`, in its own id space.
+fn resolve<G: GraphAccess>(graph: &G, picks: &[u8]) -> Vec<NodeId> {
+    picks
+        .iter()
+        .map(|i| graph.node_by_name(&format!("n{i}")).unwrap())
+        .collect()
+}
+
+/// One workspace carried across `seeds` in order: each frontier run
+/// must equal a run on a fresh workspace, bit for bit.
+fn assert_reuse_is_exact<G: GraphAccess>(graph: G, picks: &[u8], cfg: PprConfig) {
+    let seeds = resolve(&graph, picks);
+    let ppr = PersonalizedPageRank::new(graph, cfg).unwrap();
+    let mut reused = PprWorkspace::new();
+    for (i, &seed) in seeds.iter().enumerate() {
+        let got = ppr.frontier_outcome(&[seed], &mut reused);
+        let want = ppr.frontier_outcome(&[seed], &mut PprWorkspace::new());
+        prop_assert_eq!(
+            outcome_bits(&got),
+            outcome_bits(&want),
+            "run {} (seed {:?}) diverged on a reused workspace",
+            i,
+            seed
+        );
+    }
+}
+
+/// Per-seed runs fanned across workers that pull in `costs` order and
+/// share a workspace pool, against one sequential pass in seed order.
+fn assert_fan_out_is_exact<G: GraphAccess + Sync>(
+    graph: G,
+    picks: &[u8],
+    costs: &[u64],
+    cfg: PprConfig,
+) {
+    let seeds = resolve(&graph, picks);
+    let ppr = PersonalizedPageRank::new(graph, cfg).unwrap();
+    let mut ws = PprWorkspace::new();
+    let want: Vec<_> = seeds
+        .iter()
+        .map(|&s| outcome_bits(&ppr.run_outcome(&[s], &mut ws)))
+        .collect();
+    let pool: Mutex<Vec<PprWorkspace>> = Mutex::new(Vec::new());
+    let got = parallel::map_costliest_first(
+        seeds.len(),
+        |i| costs[i % costs.len()],
+        |i| {
+            let mut ws = pool.lock().unwrap().pop().unwrap_or_default();
+            let out = outcome_bits(&ppr.run_outcome(&[seeds[i]], &mut ws));
+            pool.lock().unwrap().push(ws);
+            out
+        },
+    );
+    prop_assert_eq!(got, want, "fan-out changed an answer or its place");
 }
 
 proptest! {
@@ -134,5 +215,38 @@ proptest! {
         let frontier = ppr.frontier_outcome(&sources, &mut PprWorkspace::new()).scores;
         prop_assert_eq!(&bits(&frontier), &want);
         prop_assert_eq!(&bits(&ppr.run(&sources)), &want);
+    }
+
+    /// A workspace carried from run to run, on both backends and at
+    /// ε = 0 and ε > 0, leaves no trace in the next run: scores,
+    /// dropped mass and L1 bound match a fresh workspace bit for bit.
+    /// Seeds repeat and alternate, as pooled workspaces see them.
+    #[test]
+    fn reused_workspace_matches_fresh_on_every_backend(
+        (ts, _src, low) in cases(),
+        picks in prop::collection::vec(0u8..24, 1..7),
+        eps_exp in 0u32..4,
+    ) {
+        let kg = build(&ts);
+        let cfg = config(low, epsilon(eps_exp));
+        assert_reuse_is_exact(CompactGraph::from_graph(&kg), &picks, cfg.clone());
+        assert_reuse_is_exact(&kg, &picks, cfg);
+    }
+
+    /// Per-seed runs spread over workers in any pull order, each worker
+    /// taking a workspace from a shared pool, return what one thread
+    /// running the seeds in order returns, in seed order, on both
+    /// backends.
+    #[test]
+    fn per_seed_fan_out_is_order_and_worker_invariant(
+        (ts, _src, low) in cases(),
+        picks in prop::collection::vec(0u8..24, 1..9),
+        costs in prop::collection::vec(0u64..4, 1..9),
+        eps_exp in 0u32..4,
+    ) {
+        let kg = build(&ts);
+        let cfg = config(low, epsilon(eps_exp));
+        assert_fan_out_is_exact(CompactGraph::from_graph(&kg), &picks, &costs, cfg.clone());
+        assert_fan_out_is_exact(&kg, &picks, &costs, cfg);
     }
 }
