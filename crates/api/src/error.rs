@@ -36,12 +36,6 @@ pub enum ApiError {
     InvalidRequest(String),
     /// The search pipeline itself failed.
     Pipeline(nck_core::error::CoreError),
-    /// A compare-mode workload found the engine and sequential rankings
-    /// disagreeing on one query — a bug, never expected in practice.
-    Diverged {
-        /// Index of the first diverging query in the workload.
-        index: usize,
-    },
     /// The server shed the request: its bounded admission queue (or
     /// connection budget) was full, or it was draining for shutdown.
     /// A transport maps this to 503; the client may retry elsewhere or
@@ -73,7 +67,6 @@ impl ApiError {
             ApiError::UnknownEntity(_) => "unknown_entity",
             ApiError::InvalidRequest(_) => "invalid_request",
             ApiError::Pipeline(_) => "pipeline",
-            ApiError::Diverged { .. } => "diverged",
             ApiError::Overloaded(_) => "overloaded",
             ApiError::DeadlineExceeded { .. } => "deadline_exceeded",
             ApiError::Protocol(_) => "protocol",
@@ -133,10 +126,6 @@ impl fmt::Display for ApiError {
             ApiError::UnknownEntity(name) => write!(f, "unknown entity {name:?}"),
             ApiError::InvalidRequest(message) => write!(f, "invalid request: {message}"),
             ApiError::Pipeline(e) => write!(f, "pipeline error: {e}"),
-            ApiError::Diverged { index } => write!(
-                f,
-                "engine and sequential rankings diverged at query {index}"
-            ),
             ApiError::Overloaded(reason) => write!(f, "server overloaded: {reason}"),
             ApiError::DeadlineExceeded {
                 deadline_ms,

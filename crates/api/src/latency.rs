@@ -1,9 +1,9 @@
 //! Merged-sample latency summaries.
 //!
-//! Every latency report in the workspace — the in-process concurrent
-//! workload phase ([`crate::types::ConcurrentReport`]) and the socket
-//! load generator alike — reduces per-request wall times to percentiles
-//! through this one helper, and the helper's contract is the point:
+//! Every latency report in the workspace — the closed- and open-loop
+//! socket load generators of `benches/serve.rs` alike — reduces
+//! per-request wall times to percentiles through this one helper, and
+//! the helper's contract is the point:
 //! percentiles are computed over the **merged** sample set of every
 //! client, never per-client-then-averaged. Averaging per-client
 //! percentiles is a classic benchmarking bug — each client's p99 is the

@@ -5,17 +5,16 @@
 //! service. It owns three things:
 //!
 //! - a **request/response vocabulary** ([`types`]) — serde-able
-//!   [`QueryRequest`], [`QueryResponse`], [`WorkloadRequest`],
-//!   [`WorkloadReport`] — that the CLI, the eval harness and any future
-//!   transport all share (one schema instead of three ad-hoc ones);
+//!   [`QueryRequest`], [`QueryResponse`], [`EngineStatsReport`] — that
+//!   the CLI's `--json` output and the `nck-serve` socket protocol share
+//!   (one schema instead of ad-hoc ones);
 //! - an **error taxonomy** ([`ApiError`]) separating caller faults from
 //!   environment and pipeline faults, with a serializable wire form;
 //! - the **[`NckService`] façade**: built once over a dataset
 //!   (`NckService::builder().ntriples(path).backend(Backend::Compact)
 //!   .engine(cfg).build()?`), it materializes the chosen format behind
 //!   the closed [`nck_graph::ErasedGraph`] enum and answers single
-//!   queries, batches, streams and benchmark workloads through a shared
-//!   [`nck_engine::QueryEngine`].
+//!   queries and batches through a shared [`nck_engine::QueryEngine`].
 //!
 //! Backend choice is a *runtime* value here — the erasure layer
 //! ([`nck_graph::erased`]) keeps the whole generic pipeline intact, and
@@ -33,10 +32,7 @@ pub mod types;
 pub use error::{ApiError, ErrorBody};
 pub use latency::LatencySummary;
 pub use service::{rankings_equal, Backend, NckService, NckServiceBuilder};
-pub use types::{
-    Characteristic, ConcurrentReport, EngineStatsReport, QueryOverrides, QueryRequest,
-    QueryResponse, WorkloadMode, WorkloadReport, WorkloadRequest,
-};
+pub use types::{Characteristic, EngineStatsReport, QueryOverrides, QueryRequest, QueryResponse};
 
 /// JSON encode/decode entry points (`json::to_string` / `json::from_str`),
 /// re-exported so façade consumers need no direct serde dependency.

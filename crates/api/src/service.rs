@@ -1,20 +1,14 @@
 //! [`NckService`] — the one front door to the pipeline.
 
 use crate::error::ApiError;
-use crate::types::{
-    Characteristic, ConcurrentReport, EngineStatsReport, QueryRequest, QueryResponse, WorkloadMode,
-    WorkloadReport, WorkloadRequest,
-};
-use nck_core::error::CoreError;
-use nck_core::findnc::{FindNc, SearchResult};
-use nck_core::ppr::RandomWalkSelector;
+use crate::types::{Characteristic, EngineStatsReport, QueryRequest, QueryResponse};
+use nck_core::findnc::SearchResult;
 use nck_core::query::Query;
 use nck_engine::{Encoded, EngineConfig, EngineStats, Overrides, QueryEngine, SelectorMode};
 use nck_graph::io::load_compact;
 use nck_graph::{CompactGraph, ErasedGraph, GraphAccess, GraphError, KnowledgeGraph};
 use nck_store::graph_view::to_knowledge_graph;
 use nck_store::ntriples::read_ntriples;
-use nck_store::TripleStore;
 use serde::{json, Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -45,15 +39,13 @@ impl Backend {
     }
 }
 
-/// Where the builder gets its dataset from. The graph-shaped variants
-/// are boxed: a built `KnowledgeGraph` is hundreds of bytes of headers
-/// and would bloat every `Source` otherwise (clippy: large_enum_variant).
+/// Where the builder gets its dataset from. The graph variant is boxed:
+/// a built `KnowledgeGraph` is hundreds of bytes of headers and would
+/// bloat every `Source` otherwise (clippy: large_enum_variant).
 enum Source {
     Ntriples(PathBuf),
     CompactFile(PathBuf),
-    Store(Box<TripleStore>),
     Csr(Box<KnowledgeGraph>),
-    Erased(ErasedGraph),
 }
 
 /// Builder for [`NckService`] — see [`NckService::builder`].
@@ -90,34 +82,22 @@ impl NckServiceBuilder {
         self
     }
 
-    /// Uses an already-loaded triple store.
-    pub fn triple_store(mut self, store: TripleStore) -> Self {
-        self.source = Some(Source::Store(Box::new(store)));
-        self
-    }
-
     /// Uses an already-built CSR graph. It can serve either backend: the
-    /// compact encoder is a pure function of the graph.
+    /// compact encoder is a pure function of the graph. A triple store
+    /// comes in as `knowledge_graph(to_knowledge_graph(&store))`, with
+    /// the node ids [`ntriples`](Self::ntriples) would give it.
     pub fn knowledge_graph(mut self, graph: KnowledgeGraph) -> Self {
         self.source = Some(Source::Csr(Box::new(graph)));
         self
     }
 
-    /// Uses any pre-erased backend as-is.
-    pub fn erased(mut self, graph: ErasedGraph) -> Self {
-        self.source = Some(Source::Erased(graph));
-        self
-    }
-
     /// Selects the backend the dataset is materialized into (default:
-    /// [`Backend::Csr`]). Triple-shaped sources
-    /// ([`ntriples`](Self::ntriples) / [`triple_store`](Self::triple_store))
-    /// and [`knowledge_graph`](Self::knowledge_graph) can honor either
-    /// choice; combining an explicit backend with a source that already
-    /// fixes it ([`compact_file`](Self::compact_file) with
-    /// [`Backend::Csr`], or any [`erased`](Self::erased) source) makes
-    /// [`build`](Self::build) fail with [`ApiError::InvalidConfig`]
-    /// instead of silently serving from something else.
+    /// [`Backend::Csr`]). [`ntriples`](Self::ntriples) and
+    /// [`knowledge_graph`](Self::knowledge_graph) can honor either
+    /// choice; [`compact_file`](Self::compact_file) fixes the backend,
+    /// so combining it with [`Backend::Csr`] makes [`build`](Self::build)
+    /// fail with [`ApiError::InvalidConfig`] instead of silently serving
+    /// from something else.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = Some(backend);
         self
@@ -135,30 +115,32 @@ impl NckServiceBuilder {
     pub fn build(self) -> Result<NckService, ApiError> {
         let source = self.source.ok_or_else(|| {
             ApiError::InvalidConfig(
-                "no data source: call ntriples(), triple_store(), \
-                 knowledge_graph() or erased()"
-                    .into(),
+                "no data source: call ntriples(), compact_file() or knowledge_graph()".into(),
             )
         })?;
-        let store = match source {
+        let (graph, load_secs) = match source {
             Source::Ntriples(path) => {
                 let file = std::fs::File::open(&path).map_err(|source| ApiError::Io {
                     path: path.clone(),
                     source,
                 })?;
-                read_ntriples(std::io::BufReader::new(file)).map_err(|e| ApiError::Parse {
-                    path: path.clone(),
-                    message: e.to_string(),
-                })?
+                let store =
+                    read_ntriples(std::io::BufReader::new(file)).map_err(|e| ApiError::Parse {
+                        path: path.clone(),
+                        message: e.to_string(),
+                    })?;
+                let started = Instant::now();
+                let graph = materialize(to_knowledge_graph(&store), self.backend);
+                (graph, started.elapsed().as_secs_f64())
             }
-            Source::Store(store) => *store,
             Source::CompactFile(path) => {
                 if let Some(requested) = self.backend {
                     if requested != Backend::Compact {
                         return Err(ApiError::InvalidConfig(format!(
                             "backend({requested:?}) conflicts with compact_file(): \
                              a compact binary graph file can only serve the compact \
-                             backend — load triples (ntriples()/triple_store()) for {}",
+                             backend — load triples (ntriples()) or a graph \
+                             (knowledge_graph()) for {}",
                             requested.name()
                         )));
                     }
@@ -174,38 +156,15 @@ impl NckServiceBuilder {
                         message: other.to_string(),
                     },
                 })?;
-                let load_secs = started.elapsed().as_secs_f64();
-                let mut service = Self::finish(ErasedGraph::new(graph), self.engine)?;
-                service.load_secs = load_secs;
-                return Ok(service);
+                (ErasedGraph::new(graph), started.elapsed().as_secs_f64())
             }
-            Source::Csr(graph) => {
-                return Self::finish(materialize(*graph, self.backend), self.engine);
-            }
-            Source::Erased(graph) => {
-                if let Some(requested) = self.backend {
-                    return Err(ApiError::InvalidConfig(format!(
-                        "backend({requested:?}) conflicts with erased(): an erased \
-                         source already fixes the backend"
-                    )));
-                }
-                return Self::finish(graph, self.engine);
-            }
+            Source::Csr(graph) => (materialize(*graph, self.backend), 0.0),
         };
-        let started = Instant::now();
-        let graph = materialize(to_knowledge_graph(&store), self.backend);
-        let load_secs = started.elapsed().as_secs_f64();
-        let mut service = Self::finish(graph, self.engine)?;
-        service.load_secs = load_secs;
-        Ok(service)
-    }
-
-    fn finish(graph: ErasedGraph, config: EngineConfig) -> Result<NckService, ApiError> {
-        let engine = QueryEngine::new(graph.clone(), config)?;
+        let engine = QueryEngine::new(graph.clone(), self.engine)?;
         Ok(NckService {
             graph,
             engine,
-            load_secs: 0.0,
+            load_secs,
         })
     }
 }
@@ -219,9 +178,9 @@ fn materialize(graph: KnowledgeGraph, backend: Option<Backend>) -> ErasedGraph {
 }
 
 /// The service façade: owns the loaded dataset (behind an
-/// [`ErasedGraph`]) and a [`QueryEngine`], and answers single queries,
-/// batches, streams and benchmark-shaped workloads through the serde
-/// request/response vocabulary of [`crate::types`].
+/// [`ErasedGraph`]) and a [`QueryEngine`], and answers single queries
+/// and batches through the serde request/response vocabulary of
+/// [`crate::types`].
 ///
 /// ```
 /// use nck_api::{NckService, QueryRequest};
@@ -385,211 +344,6 @@ impl NckService {
         Ok(self.responses_for(requests, &results))
     }
 
-    /// Streams a request sequence through the engine in batches of
-    /// `chunk_size` (clamped to at least 1), overrides and all, through
-    /// the same caches as [`batch`](Self::batch). Every request is
-    /// validated before any of them runs.
-    pub fn stream<I>(&self, requests: I, chunk_size: usize) -> Result<Vec<QueryResponse>, ApiError>
-    where
-        I: IntoIterator<Item = QueryRequest>,
-    {
-        let requests: Vec<QueryRequest> = requests.into_iter().collect();
-        let planned = self.resolve_all(&requests)?;
-        let results = self.engine.run_stream_with(planned, chunk_size)?;
-        Ok(self.responses_for(&requests, &results))
-    }
-
-    /// Executes a benchmark-shaped workload: the distinct queries replayed
-    /// `repeat` times, through the engine, a sequential baseline, or both
-    /// (verifying id-for-id identical rankings and reporting the
-    /// speedup). The report carries one response per distinct query.
-    ///
-    /// The engine phase runs on a **fresh engine** (same graph, same
-    /// configuration), so timings and counters describe this workload
-    /// alone — the service's long-lived serving caches neither skew the
-    /// benchmark nor get flushed by it. Production traffic belongs on
-    /// [`query`](Self::query) / [`batch`](Self::batch) /
-    /// [`stream`](Self::stream), which share the serving caches.
-    pub fn workload(&self, request: &WorkloadRequest) -> Result<WorkloadReport, ApiError> {
-        if request.queries.is_empty() {
-            return Err(ApiError::InvalidRequest("workload has no queries".into()));
-        }
-        if let Some(bad) = request
-            .queries
-            .iter()
-            .position(|q| q.overrides.is_some_and(|o| !o.is_noop()))
-        {
-            return Err(ApiError::InvalidRequest(format!(
-                "workload query {bad} carries overrides; workloads run \
-                 under the service's single engine configuration"
-            )));
-        }
-        let base: Vec<Query> = request
-            .queries
-            .iter()
-            .map(|q| self.resolve(q))
-            .collect::<Result<_, _>>()?;
-        let repeat = request.repeat.max(1);
-        let mut workload: Vec<Query> = Vec::with_capacity(base.len() * repeat);
-        for _ in 0..repeat {
-            workload.extend(base.iter().cloned());
-        }
-
-        let mut engine_secs = None;
-        let mut sequential_secs = None;
-        let mut engine_results: Option<Vec<Arc<SearchResult>>> = None;
-        let mut stats = None;
-
-        if matches!(request.mode, WorkloadMode::Engine | WorkloadMode::Compare) {
-            // A fresh engine for the benchmark: the service's long-lived
-            // caches would otherwise leak prior traffic into the timed
-            // phase (a result-cache hit from yesterday's query() making
-            // the "engine" side look arbitrarily fast), and flushing the
-            // shared engine instead would trash the serving caches of a
-            // live service. A fresh engine also makes the counters
-            // per-workload by construction.
-            let engine = QueryEngine::new(self.graph.clone(), self.engine.config().clone())?;
-            let started = Instant::now();
-            let results = if request.chunk > 0 {
-                engine.run_stream(workload.iter().cloned(), request.chunk)?
-            } else {
-                engine.run_batch(&workload)?
-            };
-            engine_secs = Some(started.elapsed().as_secs_f64());
-            let mut report = EngineStatsReport::from(engine.stats());
-            report.graph_bytes = Some(self.graph.approx_bytes() as u64);
-            stats = Some(report);
-            engine_results = Some(results);
-        }
-        if matches!(
-            request.mode,
-            WorkloadMode::Sequential | WorkloadMode::Compare
-        ) {
-            // Pipeline construction happens once, *outside* the timed
-            // region — sequential_secs measures query execution, not
-            // config cloning.
-            let (findnc, selector) = self.sequential_pipeline();
-            let started = Instant::now();
-            let mut results = Vec::with_capacity(workload.len());
-            for q in &workload {
-                let result = match &selector {
-                    None => findnc.discover(&self.graph, q),
-                    Some(sel) => findnc.discover_with_selector(&self.graph, q, sel),
-                }?;
-                results.push(result);
-            }
-            sequential_secs = Some(started.elapsed().as_secs_f64());
-            if let Some(engine_results) = &engine_results {
-                for (index, (a, b)) in engine_results.iter().zip(&results).enumerate() {
-                    if !rankings_equal(a, b) {
-                        return Err(ApiError::Diverged { index });
-                    }
-                }
-            }
-            if engine_results.is_none() {
-                engine_results = Some(results.into_iter().map(Arc::new).collect());
-            }
-        }
-
-        // lint: allow(panic_path) — the mode match above always runs at least one phase that fills `engine_results`
-        let results = engine_results.expect("at least one mode ran");
-
-        // Concurrent serving phase: N client threads replay the whole
-        // workload over one shared engine. The single-client results
-        // above are the exactness reference — every concurrent response
-        // must match them id for id, or the phase fails the workload.
-        let concurrent = match request.clients {
-            Some(clients) => Some(self.concurrent_phase(clients.max(1), &workload, &results)?),
-            None => None,
-        };
-
-        let responses = self.responses_for(&request.queries, &results);
-        let speedup = match (engine_secs, sequential_secs) {
-            (Some(e), Some(s)) => Some(s / f64::max(e, 1e-12)),
-            _ => None,
-        };
-        Ok(WorkloadReport {
-            queries: results.len(),
-            distinct_lines: request.queries.len(),
-            repeat,
-            engine_secs,
-            sequential_secs,
-            speedup,
-            engine_stats: stats,
-            concurrent,
-            results: responses,
-        })
-    }
-
-    /// Fans `workload` across `clients` OS threads over one fresh
-    /// shared engine, verifies every response id-for-id against
-    /// `reference` (the single-client results), and reports aggregate
-    /// throughput plus per-request latency percentiles.
-    fn concurrent_phase(
-        &self,
-        clients: usize,
-        workload: &[Query],
-        reference: &[Arc<SearchResult>],
-    ) -> Result<ConcurrentReport, ApiError> {
-        let engine = QueryEngine::new(self.graph.clone(), self.engine.config().clone())?;
-        let started = Instant::now();
-        type ClientRun = Result<(Vec<Arc<SearchResult>>, Vec<f64>), CoreError>;
-        let per_client: Vec<ClientRun> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..clients)
-                .map(|_| {
-                    let engine = &engine;
-                    s.spawn(move || -> ClientRun {
-                        let mut results = Vec::with_capacity(workload.len());
-                        let mut latencies = Vec::with_capacity(workload.len());
-                        for query in workload {
-                            let t = Instant::now();
-                            let result = engine.run(query)?;
-                            latencies.push(t.elapsed().as_secs_f64());
-                            results.push(result);
-                        }
-                        Ok((results, latencies))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(panic_path) — a panicked workload client is a harness bug; re-raising it here is the honest report
-                .map(|h| h.join().expect("client thread panicked"))
-                .collect()
-        });
-        let secs = started.elapsed().as_secs_f64();
-        let mut latencies: Vec<f64> = Vec::with_capacity(clients * workload.len());
-        for run in per_client {
-            let (results, client_latencies) = run?;
-            for (index, (got, want)) in results.iter().zip(reference).enumerate() {
-                if !rankings_equal(got, want) {
-                    return Err(ApiError::Diverged { index });
-                }
-            }
-            latencies.extend(client_latencies);
-        }
-        // One merged summary over every client's samples — per-client
-        // percentiles averaged together would hide a slow client's tail
-        // (see `crate::latency` for the pinned contract).
-        let summary = crate::latency::LatencySummary::from_secs(latencies);
-        let queries = summary.count;
-        Ok(ConcurrentReport {
-            clients,
-            queries,
-            secs,
-            throughput: queries as f64 / secs.max(1e-12),
-            p50_ms: summary.p50_ms,
-            p90_ms: summary.p90_ms,
-            p99_ms: summary.p99_ms,
-            max_ms: summary.max_ms,
-            stats: {
-                let mut stats = EngineStatsReport::from(engine.stats());
-                stats.graph_bytes = Some(self.graph.approx_bytes() as u64);
-                stats
-            },
-        })
-    }
-
     // -- internals ---------------------------------------------------------
 
     fn resolve(&self, request: &QueryRequest) -> Result<Query, ApiError> {
@@ -655,29 +409,6 @@ impl NckService {
             }
         }
         Ok(overrides.into())
-    }
-
-    /// The sequential baseline pipeline (`None` selector = ContextRW via
-    /// [`FindNc::discover`]), built once per workload phase.
-    ///
-    /// The selector shares the engine's Eq.-1 weight table: the
-    /// sequential loop used to re-derive the `O(|E|)` weights inside
-    /// every `select` call, charging the baseline one full edge scan per
-    /// query.
-    fn sequential_pipeline(&self) -> (FindNc, Option<RandomWalkSelector>) {
-        let config = self.engine.config();
-        let findnc = FindNc::new(config.findnc.clone());
-        let selector = match config.selector {
-            SelectorMode::ContextRw => None,
-            SelectorMode::RandomWalk => {
-                let config = config.randomwalk.clone();
-                Some(match self.engine.edge_weights() {
-                    Some(weights) => RandomWalkSelector::with_weights(config, weights),
-                    None => RandomWalkSelector::new(config),
-                })
-            }
-        };
-        (findnc, selector)
     }
 
     /// `result` in wire form: its context's entity names, in rank order,

@@ -2,8 +2,8 @@
 //!
 //! Every type here derives `Serialize`/`Deserialize` and round-trips
 //! through JSON (`serde::json::to_string` / `from_str`), so the same
-//! structs serve as the CLI's output schema, a future HTTP layer's wire
-//! format, and the eval harness's experiment plumbing. Field names and
+//! structs serve as the CLI's `--json` output and as the payloads of
+//! `nck-serve`'s socket protocol. Field names and
 //! order intentionally reproduce the schema the CLI's retired hand-rolled
 //! JSON emitter produced, so downstream consumers see byte-identical
 //! output.
@@ -113,12 +113,6 @@ impl QueryOverrides {
         "type_filter",
         "epsilon",
     ];
-
-    /// Whether every override is unset (the request then answers exactly
-    /// as one without overrides).
-    pub fn is_noop(&self) -> bool {
-        *self == Self::default()
-    }
 }
 
 impl From<QueryOverrides> for Overrides {
@@ -162,8 +156,8 @@ pub struct QueryResponse {
     /// request's `top`.
     pub characteristics: Vec<Characteristic>,
     /// Wall-clock seconds spent answering (set on single-query calls;
-    /// workload members report timing at the report level instead),
-    /// from after the request is resolved and validated. Under
+    /// batch members carry none), from after the request is resolved
+    /// and validated. Under
     /// `NckService::query` it covers the engine call and building this
     /// response. On the served path (`NckService::query_json`, which
     /// `nck-serve` answers through) it covers the engine call, the
@@ -183,62 +177,6 @@ impl QueryResponse {
     /// Looks a characteristic up by label name.
     pub fn characteristic(&self, label: &str) -> Option<&Characteristic> {
         self.characteristics.iter().find(|c| c.label == label)
-    }
-}
-
-/// How a workload executes (see [`WorkloadRequest::mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum WorkloadMode {
-    /// Through the batched engine (dedup, scheduling, shared caches).
-    #[default]
-    Engine,
-    /// One-at-a-time sequential `FindNc` runs (the baseline).
-    Sequential,
-    /// Both, verifying id-for-id identical rankings and reporting the
-    /// speedup.
-    Compare,
-}
-
-/// A batch/repeated-query workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkloadRequest {
-    /// The distinct queries, in submission order. Per-request
-    /// [`QueryRequest::overrides`] are rejected here: workload execution
-    /// is the exact-parity path, and overrides would silently fork the
-    /// configuration mid-benchmark.
-    pub queries: Vec<QueryRequest>,
-    /// Replays the whole query list this many times (a repeated-seed
-    /// workload); clamped to at least 1.
-    pub repeat: usize,
-    /// Execution mode.
-    pub mode: WorkloadMode,
-    /// When positive, streams the workload through the engine in batches
-    /// of this size instead of one big batch.
-    pub chunk: usize,
-    /// When set, additionally runs a **concurrent serving phase**: the
-    /// whole workload is replayed by this many client OS threads (at
-    /// least 1) over one shared engine, measuring aggregate throughput
-    /// and per-request latency percentiles. Every concurrent response is
-    /// verified id-for-id against the single-client phase's results —
-    /// the shared caches and single-flight coalescing are exact, so
-    /// concurrency must never change an answer. Reported in
-    /// [`WorkloadReport::concurrent`]. `None` (and absent on the wire)
-    /// skips the phase.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub clients: Option<usize>,
-}
-
-impl WorkloadRequest {
-    /// An engine-mode workload over `queries`, run once, unchunked,
-    /// without a concurrent phase.
-    pub fn new(queries: Vec<QueryRequest>) -> Self {
-        Self {
-            queries,
-            repeat: 1,
-            mode: WorkloadMode::Engine,
-            chunk: 0,
-            clients: None,
-        }
     }
 }
 
@@ -328,67 +266,6 @@ impl From<EngineStats> for EngineStatsReport {
             ppr_cache: s.ppr,
         }
     }
-}
-
-/// The concurrent serving phase's measurements (see
-/// [`WorkloadRequest::clients`]).
-///
-/// Latency percentiles are nearest-rank over every request issued by
-/// every client; throughput is aggregate (total requests over the
-/// phase's wall time). Parity with the single-client phase is verified
-/// before the report is produced, so these numbers always describe
-/// id-for-id identical answers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConcurrentReport {
-    /// Client threads that replayed the workload.
-    pub clients: usize,
-    /// Total requests answered (clients × workload length).
-    pub queries: usize,
-    /// Wall time of the whole phase.
-    pub secs: f64,
-    /// Aggregate requests per second.
-    pub throughput: f64,
-    /// Median per-request latency, milliseconds.
-    pub p50_ms: f64,
-    /// 90th-percentile per-request latency, milliseconds.
-    pub p90_ms: f64,
-    /// 99th-percentile per-request latency, milliseconds.
-    pub p99_ms: f64,
-    /// Worst per-request latency, milliseconds.
-    pub max_ms: f64,
-    /// Counters of the engine shared by the concurrent clients (the
-    /// coalesced counts show how much duplicate work single-flight
-    /// absorbed).
-    pub stats: EngineStatsReport,
-}
-
-/// The answer to a [`WorkloadRequest`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkloadReport {
-    /// Total queries executed (distinct × repeat).
-    pub queries: usize,
-    /// Number of distinct submitted queries.
-    pub distinct_lines: usize,
-    /// The replay factor.
-    pub repeat: usize,
-    /// Engine-phase wall time (engine/compare modes).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub engine_secs: Option<f64>,
-    /// Sequential-phase wall time (sequential/compare modes).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub sequential_secs: Option<f64>,
-    /// `sequential_secs / engine_secs` (compare mode).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub speedup: Option<f64>,
-    /// Engine counters (engine/compare modes).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub engine_stats: Option<EngineStatsReport>,
-    /// Concurrent serving phase measurements (only when the request set
-    /// [`WorkloadRequest::clients`]).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub concurrent: Option<ConcurrentReport>,
-    /// One response per distinct query (its first execution).
-    pub results: Vec<QueryResponse>,
 }
 
 #[cfg(test)]
@@ -488,14 +365,6 @@ mod tests {
         assert_eq!(back.cache_shards, None);
         assert_eq!(back.labels_scored, None);
         assert_eq!(back.submitted, 8);
-    }
-
-    #[test]
-    fn legacy_workload_request_without_clients_still_parses() {
-        let legacy = r#"{"queries":[{"entities":["A"]}],"repeat":2,"mode":"Engine","chunk":0}"#;
-        let back: WorkloadRequest = serde::json::from_str(legacy).unwrap();
-        assert_eq!(back.clients, None);
-        assert_eq!(back.repeat, 2);
     }
 
     /// A fully populated literal (no `..Default`, so a new field fails

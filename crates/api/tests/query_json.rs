@@ -13,7 +13,7 @@ use nck_core::config::PathMiningConfig;
 use nck_core::context::TypeFilter;
 use nck_engine::{EngineConfig, SelectorMode};
 use nck_graph::{GraphBuilder, KnowledgeGraph};
-use nck_store::graph_view::to_triple_store;
+use nck_store::graph_view::{to_knowledge_graph, to_triple_store};
 
 /// Query entities and labels whose names need every kind of escaping:
 /// a quote, a backslash, a newline, a control character, non-ASCII.
@@ -73,7 +73,7 @@ fn config() -> EngineConfig {
 
 fn service(backend: Backend) -> NckService {
     NckService::builder()
-        .triple_store(to_triple_store(&graph()))
+        .knowledge_graph(to_knowledge_graph(&to_triple_store(&graph())))
         .backend(backend)
         .engine(config())
         .build()

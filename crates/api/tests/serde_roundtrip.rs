@@ -4,8 +4,8 @@
 #![forbid(unsafe_code)]
 
 use nck_api::{
-    json, Characteristic, NckService, QueryOverrides, QueryRequest, QueryResponse, WorkloadMode,
-    WorkloadReport, WorkloadRequest,
+    json, Characteristic, EngineStatsReport, NckService, QueryOverrides, QueryRequest,
+    QueryResponse,
 };
 use nck_core::config::PathMiningConfig;
 use nck_core::context::TypeFilter;
@@ -86,34 +86,8 @@ fn query_response_round_trips_including_null_significances() {
     assert!(!text.contains("secs"));
 }
 
-#[test]
-fn workload_request_and_report_round_trip() {
-    let request = WorkloadRequest {
-        queries: vec![
-            QueryRequest::entities(["A", "B"]),
-            QueryRequest::entities(["C"]),
-        ],
-        repeat: 3,
-        mode: WorkloadMode::Compare,
-        chunk: 4,
-        clients: None,
-    };
-    assert_eq!(roundtrip(&request), request);
-    // The concurrency field stays off the wire until set…
-    let text = json::to_string(&request);
-    assert!(!text.contains("clients"), "{text}");
-    // …and rides it once it is.
-    let concurrent = WorkloadRequest {
-        clients: Some(8),
-        ..request
-    };
-    assert_eq!(roundtrip(&concurrent), concurrent);
-    let text = json::to_string(&concurrent);
-    assert!(text.contains(r#""clients":8"#), "{text}");
-}
-
-/// End to end: a response produced by a real service run survives the
-/// wire unchanged.
+/// End to end: a response and the engine counters produced by a real
+/// service run survive the wire unchanged.
 #[test]
 fn service_emitted_payloads_round_trip() {
     let mut b = GraphBuilder::new();
@@ -141,42 +115,20 @@ fn service_emitted_payloads_round_trip() {
     let response = service.query(&request).unwrap();
     assert_eq!(roundtrip(&response), response);
 
-    let report = service
-        .workload(&WorkloadRequest {
-            queries: vec![request],
-            repeat: 2,
-            mode: WorkloadMode::Compare,
-            chunk: 0,
-            clients: Some(2),
-        })
-        .unwrap();
-    let back: WorkloadReport = roundtrip(&report);
+    let stats = service.stats();
+    let back: EngineStatsReport = roundtrip(&stats);
     // Per-cache counter structs are #[serde(skip)] (the legacy schema
     // carries hit counts only), so they come back as defaults;
-    // everything else — including the coalesced/shard counters and the
-    // concurrent phase — is lossless.
-    let mut wire_view = report.clone();
-    if let Some(stats) = &mut wire_view.engine_stats {
-        stats.result_cache = Default::default();
-        stats.context_cache = Default::default();
-        stats.ppr_cache = Default::default();
-    }
-    if let Some(concurrent) = &mut wire_view.concurrent {
-        concurrent.stats.result_cache = Default::default();
-        concurrent.stats.context_cache = Default::default();
-        concurrent.stats.ppr_cache = Default::default();
-    }
+    // everything else — the coalesced/shard counters and the graph's
+    // resident bytes included — is lossless.
+    let wire_view = EngineStatsReport {
+        result_cache: Default::default(),
+        context_cache: Default::default(),
+        ppr_cache: Default::default(),
+        ..stats
+    };
     assert_eq!(back, wire_view);
-    assert_eq!(back.queries, 2);
-    assert_eq!(back.results.len(), 1);
-    assert!(back.speedup.is_some());
-    let stats = back.engine_stats.expect("engine phase ran");
-    assert_eq!(stats.cache_shards, Some(8), "default stripe count");
-    assert_eq!(stats.weight_builds, Some(0), "ContextRw builds no weights");
-    let concurrent = back.concurrent.expect("clients were requested");
-    assert_eq!(concurrent.clients, 2);
-    assert_eq!(concurrent.queries, 4, "2 clients × 2 workload queries");
-    assert!(concurrent.throughput > 0.0);
-    assert!(concurrent.p50_ms <= concurrent.p99_ms);
-    assert!(concurrent.p99_ms <= concurrent.max_ms);
+    assert_eq!(back.submitted, 1);
+    assert_eq!(back.cache_shards, Some(8), "default stripe count");
+    assert_eq!(back.weight_builds, Some(0), "ContextRw builds no weights");
 }

@@ -1,14 +1,17 @@
-//! Behavioral guarantees of [`NckService`] beyond serialization: workload
-//! stats describe the workload (not the engine's lifetime), and
-//! compare-mode never falsely reports divergence.
+//! Behavioral guarantees of [`NckService`] beyond serialization: batch
+//! answers equal the sequential pipeline's bit for bit, overrides are
+//! bounded before any work, and the builder refuses contradictions.
 
 #![forbid(unsafe_code)]
 
-use nck_api::{NckService, QueryRequest, WorkloadMode, WorkloadRequest};
+use nck_api::{rankings_equal, NckService, QueryRequest};
 use nck_core::config::{PathMiningConfig, PprConfig};
 use nck_core::context::TypeFilter;
+use nck_core::findnc::FindNc;
+use nck_core::ppr::RandomWalkSelector;
+use nck_core::query::Query;
 use nck_engine::{EngineConfig, SelectorMode};
-use nck_graph::GraphBuilder;
+use nck_graph::{GraphAccess, GraphBuilder};
 
 fn toy_service(config: EngineConfig) -> NckService {
     let mut b = GraphBuilder::new();
@@ -38,45 +41,51 @@ fn toy_config() -> EngineConfig {
     config
 }
 
-/// Regression: each workload reports *its own* counters and timings — a
-/// service that has already answered traffic must not leak its history
-/// (cumulative counters, warm serving caches) into the benchmark.
-#[test]
-fn workload_stats_are_per_workload_not_cumulative() {
-    let service = toy_service(toy_config());
-
-    // Prior traffic: a single query plus a first workload.
-    let warmup = QueryRequest::entities(["Merkel"]);
-    service.query(&warmup).unwrap();
-    let request = WorkloadRequest {
-        queries: vec![QueryRequest::entities(["Merkel", "Obama"])],
-        repeat: 3,
-        mode: WorkloadMode::Engine,
-        chunk: 0,
-        clients: None,
-    };
-    let first = service.workload(&request).unwrap();
-    let second = service.workload(&request).unwrap();
-
-    let first_stats = first.engine_stats.unwrap();
-    let second_stats = second.engine_stats.unwrap();
-    // Each workload runs on a fresh engine: identical submissions,
-    // identical dedup, identical (cold) execution counts — no prior
-    // traffic visible, neither from query() nor from the first workload.
-    assert_eq!(first_stats.submitted, 3);
-    assert_eq!(second_stats.submitted, 3);
-    assert_eq!(first_stats.deduplicated, 2);
-    assert_eq!(second_stats.deduplicated, 2);
-    assert_eq!(first_stats.executed, 1);
-    assert_eq!(second_stats.executed, 1);
-    // The serving engine's own counters only saw the warmup query, not
-    // the benchmark traffic.
-    assert_eq!(service.stats().submitted, 1);
+/// Answers `requests` with one `service.batch` on a RandomWalk engine
+/// and checks every answer against the sequential oracle: a fresh
+/// `FindNc::discover_with_selector` with a `RandomWalkSelector` under
+/// the engine's own configuration. The batch's results, read back from
+/// the result cache it filled, must equal the oracle's by
+/// `rankings_equal`, and its wire answers must name the same context and
+/// labels in the same order.
+fn assert_batch_matches_sequential_randomwalk(service: &NckService, requests: &[QueryRequest]) {
+    let answers = service.batch(requests).expect("batch");
+    let graph = service.graph();
+    let config = service.engine().config();
+    let findnc = FindNc::new(config.findnc.clone());
+    let selector = RandomWalkSelector::new(config.randomwalk.clone());
+    let executed = service.raw_stats().executed_groups;
+    for (request, answer) in requests.iter().zip(&answers) {
+        let query = Query::by_names(graph, request.entities.iter().map(String::as_str)).unwrap();
+        let want = findnc
+            .discover_with_selector(graph, &query, &selector)
+            .unwrap();
+        let got = service.engine().run(&query).unwrap();
+        assert!(rankings_equal(&got, &want), "{}", request.display());
+        let context: Vec<&str> = want.context.nodes().map(|n| graph.node_name(n)).collect();
+        assert_eq!(answer.context, context, "{}", request.display());
+        let labels: Vec<&str> = answer
+            .characteristics
+            .iter()
+            .map(|c| c.label.as_str())
+            .collect();
+        let want_labels: Vec<&str> = want
+            .characteristics
+            .iter()
+            .map(|c| graph.label_name(c.label))
+            .collect();
+        assert_eq!(labels, want_labels, "{}", request.display());
+    }
+    assert_eq!(
+        service.raw_stats().executed_groups,
+        executed,
+        "the results are the batch's, read back from the result cache"
+    );
 }
 
 /// Regression: `rankings_equal` must treat two bit-identical rankings
 /// containing NaN scores as equal (IEEE `==` would call them diverged,
-/// failing compare-mode workloads on correct results).
+/// failing parity checks on correct results).
 #[test]
 fn rankings_equal_tolerates_nan_scores() {
     use nck_api::rankings_equal;
@@ -138,7 +147,6 @@ fn rankings_equal_tolerates_nan_scores() {
 #[test]
 fn builder_rejects_contradictory_backend() {
     use nck_api::{ApiError, Backend};
-    use nck_graph::ErasedGraph;
 
     let g = || {
         let mut b = GraphBuilder::new();
@@ -174,32 +182,21 @@ fn builder_rejects_contradictory_backend() {
             .unwrap();
         assert_eq!(service.backend_name(), backend.name());
     }
-    // erased() fixes the backend; any explicit choice is rejected.
-    let err = NckService::builder()
-        .erased(ErasedGraph::new(g()))
-        .backend(Backend::Csr)
-        .build()
-        .unwrap_err();
-    assert!(matches!(err, ApiError::InvalidConfig(_)), "{err}");
-    assert!(NckService::builder()
-        .erased(ErasedGraph::new(g()))
-        .build()
-        .is_ok());
 }
 
-/// Regression: compare mode with the RandomWalk selector and the default
-/// `ppr.parallel = true` must not report a spurious divergence on
+/// Regression: a batch on the RandomWalk selector with the default
+/// `ppr.parallel = true` equals the sequential pipeline bit for bit on
 /// multi-seed queries — the engine sums per-seed PPR vectors in seed
-/// order, so the sequential baseline must too.
+/// order, and so does the selector under any worker count.
 #[test]
-fn randomwalk_compare_mode_does_not_spuriously_diverge() {
+fn randomwalk_batch_matches_sequential_on_eight_seeds() {
     let mut config = toy_config();
     config.selector = SelectorMode::RandomWalk;
     config.randomwalk.type_filter = TypeFilter::None;
     config.randomwalk.ppr = PprConfig {
         damping: 0.2,
         iterations: 10,
-        parallel: true, // the default; the service must neutralize it
+        parallel: true, // the default; it must not change a bit
         epsilon: 0.0,
     };
     let service = toy_service(config);
@@ -210,27 +207,18 @@ fn randomwalk_compare_mode_does_not_spuriously_diverge() {
         .chain(std::iter::once("Obama".to_owned()))
         .chain((0..6).map(|i| format!("leader{i}")))
         .collect();
-    let report = service
-        .workload(&WorkloadRequest {
-            queries: vec![QueryRequest::entities(entities)],
-            repeat: 2,
-            mode: WorkloadMode::Compare,
-            chunk: 0,
-            clients: None,
-        })
-        .expect("compare must agree bit for bit, not Diverged");
-    assert!(report.speedup.is_some());
-    // The Eq.-1 weight table was built once for the whole workload (the
-    // sequential baseline shares the engine's table instead of
-    // re-deriving O(|E|) weights inside every select call).
-    assert_eq!(report.engine_stats.unwrap().weight_builds, Some(1));
+    let request = QueryRequest::entities(entities);
+    assert_batch_matches_sequential_randomwalk(&service, &[request.clone(), request]);
+    // The Eq.-1 weight table was built once, at construction, and every
+    // request of the batch shared it.
+    assert_eq!(service.stats().weight_builds, Some(1));
 }
 
-/// Compare mode stays bit-exact under sparse (ε > 0) execution too: both
-/// phases run the same ε-pruned frontier iteration, so the approximation
-/// is shared, not diverging.
+/// The batch stays bit-exact under sparse (ε > 0) execution too: engine
+/// and sequential pipeline run the same ε-pruned frontier iteration, so
+/// the approximation is shared, not diverging.
 #[test]
-fn randomwalk_compare_mode_agrees_under_epsilon_pruning() {
+fn randomwalk_batch_matches_sequential_under_epsilon_pruning() {
     let mut config = toy_config();
     config.selector = SelectorMode::RandomWalk;
     config.randomwalk.type_filter = TypeFilter::None;
@@ -241,16 +229,9 @@ fn randomwalk_compare_mode_agrees_under_epsilon_pruning() {
         epsilon: 1e-3,
     };
     let service = toy_service(config);
-    let report = service
-        .workload(&WorkloadRequest {
-            queries: vec![QueryRequest::entities(["Merkel", "Obama"])],
-            repeat: 2,
-            mode: WorkloadMode::Compare,
-            chunk: 0,
-            clients: None,
-        })
-        .expect("sparse compare must agree bit for bit");
-    assert!(report.speedup.is_some());
+    let request = QueryRequest::entities(["Merkel", "Obama"]);
+    assert_batch_matches_sequential_randomwalk(&service, &[request.clone(), request]);
+    assert_eq!(service.stats().weight_builds, Some(1));
 }
 
 /// A per-request ε override runs through the engine like any request —
@@ -290,72 +271,6 @@ fn epsilon_override_runs_through_the_engine_caches() {
     overridden.secs = None;
     again.secs = None;
     assert_eq!(overridden, again);
-}
-
-/// The concurrent serving phase fans the workload across client
-/// threads over one shared engine, verifies every response id-for-id
-/// against the single-client phase, and still derives the Eq.-1 weight
-/// table exactly once for the whole concurrent engine.
-#[test]
-fn concurrent_workload_phase_verifies_parity_and_builds_weights_once() {
-    let mut config = toy_config();
-    config.selector = SelectorMode::RandomWalk;
-    config.randomwalk.type_filter = TypeFilter::None;
-    config.randomwalk.ppr = PprConfig {
-        damping: 0.2,
-        iterations: 10,
-        parallel: false,
-        epsilon: 0.0,
-    };
-    let service = toy_service(config);
-    let queries = vec![
-        QueryRequest::entities(["Merkel", "Obama"]),
-        QueryRequest::entities(["Merkel", "leader0"]),
-        QueryRequest::entities(["leader1", "leader2"]),
-    ];
-    let report = service
-        .workload(&WorkloadRequest {
-            queries,
-            repeat: 2,
-            mode: WorkloadMode::Compare,
-            chunk: 0,
-            clients: Some(4),
-        })
-        .expect("concurrent responses must match sequential id for id");
-    let concurrent = report.concurrent.expect("clients were requested");
-    assert_eq!(concurrent.clients, 4);
-    assert_eq!(concurrent.queries, 4 * 6, "4 clients × (3 distinct × 2)");
-    assert!(concurrent.secs > 0.0);
-    assert!(concurrent.throughput > 0.0);
-    assert!(concurrent.p50_ms <= concurrent.p90_ms);
-    assert!(concurrent.p90_ms <= concurrent.p99_ms);
-    assert!(concurrent.p99_ms <= concurrent.max_ms);
-    // One engine, shared by all 4 clients: the O(|E|) weight table was
-    // derived exactly once, not once per client.
-    assert_eq!(concurrent.stats.weight_builds, Some(1));
-    assert_eq!(concurrent.stats.submitted, 4 * 6);
-    // Between batch-style cache hits and single-flight coalescing, the
-    // 24 submissions collapse to exactly the 3 distinct computations.
-    assert_eq!(concurrent.stats.executed, 3);
-}
-
-/// `clients: Some(1)` exercises the phase without concurrency: one
-/// client, same verification, sane percentiles.
-#[test]
-fn single_client_concurrent_phase_works() {
-    let service = toy_service(toy_config());
-    let report = service
-        .workload(&WorkloadRequest {
-            queries: vec![QueryRequest::entities(["Merkel", "Obama"])],
-            repeat: 1,
-            mode: WorkloadMode::Engine,
-            chunk: 0,
-            clients: Some(1),
-        })
-        .unwrap();
-    let concurrent = report.concurrent.expect("clients were requested");
-    assert_eq!((concurrent.clients, concurrent.queries), (1, 1));
-    assert_eq!(concurrent.stats.result_coalesced, Some(0));
 }
 
 /// A service batch answers each request exactly as a single query

@@ -55,7 +55,7 @@ use nck_engine::{EngineConfig, QueryEngine};
 use nck_graph::KnowledgeGraph;
 use nck_serve::frame::{self, FrameEvent};
 use nck_serve::{serve, wire, ServeClient, ServeConfig, ServeMetrics, CLIENT_MAX_FRAME};
-use nck_store::graph_view::to_triple_store;
+use nck_store::graph_view::{to_knowledge_graph, to_triple_store};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::TcpStream;
@@ -242,7 +242,7 @@ fn socket_service() -> Arc<NckService> {
     };
     Arc::new(
         NckService::builder()
-            .triple_store(to_triple_store(&small_dataset().graph))
+            .knowledge_graph(to_knowledge_graph(&to_triple_store(&small_dataset().graph)))
             .backend(Backend::Csr)
             .engine(engine)
             .build()

@@ -147,7 +147,7 @@ impl Default for EngineConfig {
 
 /// Per-request pipeline overrides: each set field replaces the engine's
 /// own setting for one request ([`QueryEngine::run_with`],
-/// [`QueryEngine::run_batch_with`], [`QueryEngine::run_stream_with`]).
+/// [`QueryEngine::run_batch_with`]).
 ///
 /// An overridden request is answered bit for bit as a fresh [`FindNc`]
 /// under the overridden configuration would answer it, through the same
@@ -678,8 +678,9 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
 
     /// The engine's shared Eq.-1 weight table, once it exists: from
     /// construction in RandomWalk mode, from the first `selector:
-    /// RandomWalk` override in ContextRw mode. Callers running a
-    /// sequential baseline against the same graph reuse it instead of
+    /// RandomWalk` override in ContextRw mode. A reference run outside
+    /// the engine over the same graph — perfbench's reference answers
+    /// and per-layer replay of the served path — reuses it instead of
     /// re-deriving `O(|E|)` weights per query.
     pub fn edge_weights(&self) -> Option<Arc<EdgeWeights>> {
         self.weights.get().cloned()
@@ -746,48 +747,6 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             .into_iter()
             .map(|r| r.expect("every position belongs to exactly one group"))
             .collect())
-    }
-
-    /// Consumes a query stream in batches of `batch_size` (clamped to at
-    /// least 1), concatenating the per-batch results in input order.
-    pub fn run_stream<I>(
-        &self,
-        queries: I,
-        batch_size: usize,
-    ) -> Result<Vec<Arc<SearchResult>>, CoreError>
-    where
-        I: IntoIterator<Item = Query>,
-    {
-        self.run_stream_with(
-            queries.into_iter().map(|q| (q, Overrides::default())),
-            batch_size,
-        )
-    }
-
-    /// [`run_stream`](Self::run_stream) with per-request overrides, each
-    /// chunk a [`run_batch_with`](Self::run_batch_with).
-    pub fn run_stream_with<I>(
-        &self,
-        requests: I,
-        batch_size: usize,
-    ) -> Result<Vec<Arc<SearchResult>>, CoreError>
-    where
-        I: IntoIterator<Item = (Query, Overrides)>,
-    {
-        let batch_size = batch_size.max(1);
-        let mut out = Vec::new();
-        let mut buf: Vec<(Query, Overrides)> = Vec::with_capacity(batch_size);
-        for request in requests {
-            buf.push(request);
-            if buf.len() == batch_size {
-                out.extend(self.run_batch_with(&buf)?);
-                buf.clear();
-            }
-        }
-        if !buf.is_empty() {
-            out.extend(self.run_batch_with(&buf)?);
-        }
-        Ok(out)
     }
 
     /// Snapshot of the cache and dedup counters.
@@ -1171,19 +1130,6 @@ mod tests {
             let want = solo.run_with(q, o).unwrap();
             assert_eq!(want.context.ranked(), r.context.ranked());
         }
-    }
-
-    #[test]
-    fn run_stream_chunks_and_preserves_order() {
-        let g = leaders();
-        let q1 = Query::by_names(&g, ["Merkel", "Obama"]).unwrap();
-        let q2 = Query::by_names(&g, ["leader0", "leader1"]).unwrap();
-        let stream = vec![q1.clone(), q2.clone(), q1.clone(), q2, q1];
-        let engine = QueryEngine::new(&g, fast_config()).unwrap();
-        let results = engine.run_stream(stream, 2).unwrap();
-        assert_eq!(results.len(), 5);
-        assert!(Arc::ptr_eq(&results[0], &results[2]));
-        assert_eq!(engine.stats().batches, 3, "2 + 2 + 1");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The algorithm crates answer one query at a time; this crate is the
 //! serving layer above them. A [`QueryEngine`] owns a graph backend and a
-//! pipeline configuration and executes *workloads* — batches or streams
-//! of [`Query`](nck_core::query::Query) values, each under the engine's
+//! pipeline configuration and executes single queries and batches of
+//! [`Query`](nck_core::query::Query) values, each under the engine's
 //! settings or under per-request [`Overrides`] — deduplicating and
 //! amortizing the work that public-KB traffic repeats constantly:
 //!
@@ -32,8 +32,8 @@
 //! Every cache stores exact values, so engine output is **id-for-id
 //! identical** to running [`FindNc::discover`] sequentially under the
 //! request's settings — the speedup comes purely from not recomputing
-//! shared work. The `nck` CLI, the criterion benches and the evaluation
-//! harness all drive their workloads through this layer.
+//! shared work. The `nck` CLI, the socket server and the criterion
+//! benches all drive their queries through this layer.
 //!
 //! ```
 //! use nck_core::config::{FindNcConfig, PathMiningConfig};

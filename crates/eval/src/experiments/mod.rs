@@ -1,7 +1,6 @@
 //! Experiment registry: one entry per table/figure of the paper.
 
 pub mod cases;
-pub mod engine;
 pub mod quality;
 pub mod tables;
 pub mod timing;
@@ -92,11 +91,6 @@ pub fn registry() -> Vec<Experiment> {
             paper_ref: "§1 example: {Angela Merkel, Barack Obama} vs leaders",
             run: cases::leaders,
         },
-        Experiment {
-            id: "engine",
-            paper_ref: "beyond the paper: batched engine vs one-at-a-time FindNC",
-            run: engine::engine,
-        },
     ]
 }
 
@@ -113,10 +107,10 @@ mod tests {
     fn registry_ids_are_unique_and_lowercase() {
         let reg = registry();
         let mut ids: Vec<&str> = reg.iter().map(|e| e.id).collect();
-        assert_eq!(ids.len(), 15);
+        assert_eq!(ids.len(), 14);
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 15);
+        assert_eq!(ids.len(), 14);
         assert!(reg.iter().all(|e| e
             .id
             .chars()

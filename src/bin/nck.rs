@@ -2,20 +2,21 @@
 //!
 //! A thin shell over [`nck_api`]: every query answer flows through
 //! [`NckService`] and its serde request/response types, so `--json`
-//! output *is* the service wire format. Three subcommands cover the
+//! output *is* the service wire format. Five subcommands cover the
 //! workload lifecycle:
 //!
 //! - `nck gen`   — generate a synthetic dataset (YAGO-like / LinkedMDB-like
 //!   / tiny) and persist it as N-Triples, optionally with a ready-to-run
 //!   batch query file;
 //! - `nck build-graph` — compile N-Triples (or a generated scale graph)
-//!   into the compact binary graph format, which `--graph-format compact`
-//!   then opens zero-copy (memory-mapped) instead of re-parsing;
+//!   into the compact binary graph format, which `--graph` recognizes by
+//!   its leading bytes and opens zero-copy (memory-mapped) instead of
+//!   re-parsing;
 //! - `nck query` — run one query through the batched engine and print the
 //!   ranked characteristics;
-//! - `nck batch` — run a batch/repeated-query workload through the engine,
-//!   sequentially, or both (`--mode compare`), reporting wall times, the
-//!   speedup, and the engine's cache statistics;
+//! - `nck batch` — answer a query file as one batch through the engine:
+//!   one answer per line, in file order, with the wall time and the
+//!   engine's cache statistics on stderr;
 //! - `nck serve` — put the service behind a TCP socket speaking
 //!   length-prefixed framed JSON (the same request/response schema), with
 //!   bounded admission, per-request deadlines and graceful drain on
@@ -26,17 +27,17 @@
 #![forbid(unsafe_code)]
 
 use notable_characteristics::api::{
-    json, Backend, NckService, QueryRequest, QueryResponse, WorkloadMode, WorkloadReport,
-    WorkloadRequest,
+    json, Backend, EngineStatsReport, NckService, QueryRequest, QueryResponse,
 };
 use notable_characteristics::core::context::TypeFilter;
 use notable_characteristics::datagen::{generate, generate_scale, GeneratorConfig, ScaleConfig};
 use notable_characteristics::engine::{EngineConfig, SelectorMode};
+use notable_characteristics::graph::compact::MAGIC;
 use notable_characteristics::graph::io::save_compact;
 use notable_characteristics::serve::{serve, ServeConfig, ServeMetrics};
 use notable_characteristics::store::graph_view::{to_knowledge_graph, to_triple_store};
 use notable_characteristics::store::ntriples::{read_ntriples, write_ntriples};
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -49,17 +50,16 @@ USAGE:
   nck build-graph (--in FILE.nt | --scale small|medium|large) --out FILE.nckg
             [--seed N]
   nck query --graph FILE --query \"A,B,…\" [options]
-  nck batch --graph FILE --queries FILE [--repeat N]
-            [--mode engine|sequential|compare] [--chunk N] [--clients N]
-            [options]
+  nck batch --graph FILE --queries FILE [options]
   nck serve --graph FILE [--addr HOST:PORT] [--workers N]
             [--queue-depth N] [--max-connections N] [--max-frame-bytes N]
             [--default-deadline-ms N] [options]
 
-query/batch options:
-  --graph-format nt|compact graph file format (default: nt). compact files
-                            (from nck build-graph) open zero-copy and fix
-                            the backend to compact
+--graph FILE is N-Triples, or a compact image from nck build-graph,
+recognized by its leading bytes; an image opens zero-copy and fixes the
+backend to compact.
+
+query/batch/serve options:
   --backend csr|compact     graph backend (default: csr)
   --selector contextrw|randomwalk   context selector (default: contextrw)
   --type-filter common|query|none   candidate type filter (default: common)
@@ -75,12 +75,11 @@ query/batch options:
 
 The batch query file holds one query per line: comma-separated entity
 names (names containing a comma cannot be expressed); blank lines and
-lines starting with '#' are skipped. --repeat N replays the whole file
-N times (a repeated-seed workload); --chunk N streams the workload
-through the engine in batches of N; --clients N additionally replays
-the workload from N concurrent client threads over one shared engine,
-reporting aggregate throughput and latency percentiles (responses are
-verified id-for-id against the single-client run).
+lines starting with '#' are skipped. nck batch answers the whole file as
+one batch and prints one answer per query line, in file order (with
+--json, one QueryResponse object per line, as nck query --json prints
+it); the wall time, queries/s and the engine's cache counters go to
+stderr.
 
 nck serve binds --addr (default 127.0.0.1:4517; port 0 picks an
 ephemeral port, printed on startup), serves framed JSON requests until
@@ -88,21 +87,10 @@ stdin reaches EOF, then drains gracefully: new work is shed with a typed
 overloaded error while every already-admitted request is finished and
 flushed. Final serving metrics go to stdout (JSON with --json).";
 
-/// How `--graph` should be interpreted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum GraphFormat {
-    /// N-Triples text, re-parsed on every load.
-    #[default]
-    Ntriples,
-    /// The compact binary image from `nck build-graph`, opened zero-copy.
-    Compact,
-}
-
-/// Parsed command-line options shared by `query` and `batch`.
+/// Parsed command-line options shared by `query`, `batch` and `serve`.
 #[derive(Debug)]
 struct RunOpts {
     graph: String,
-    format: GraphFormat,
     /// `Some` only when `--backend` was given explicitly: a compact graph
     /// file fixes the backend, and an explicit conflicting choice must
     /// error instead of being silently dropped.
@@ -121,7 +109,6 @@ impl Default for RunOpts {
     fn default() -> Self {
         Self {
             graph: String::new(),
-            format: GraphFormat::Ntriples,
             backend: None,
             selector: SelectorMode::ContextRw,
             type_filter: TypeFilter::CommonAncestor,
@@ -195,13 +182,6 @@ fn parse_run_opts(args: &mut Vec<String>) -> Result<RunOpts, String> {
     if let Some(v) = take_flag(args, "--graph")? {
         o.graph = v;
     }
-    if let Some(v) = take_flag(args, "--graph-format")? {
-        o.format = match v.as_str() {
-            "nt" => GraphFormat::Ntriples,
-            "compact" => GraphFormat::Compact,
-            _ => return Err(format!("--graph-format must be nt or compact, got {v:?}")),
-        };
-    }
     if let Some(v) = take_flag(args, "--backend")? {
         o.backend = Some(match v.as_str() {
             "csr" => Backend::Csr,
@@ -260,7 +240,8 @@ fn parse_run_opts(args: &mut Vec<String>) -> Result<RunOpts, String> {
     Ok(o)
 }
 
-/// [`parse_run_opts`] as the last parse step of `query` and `batch`:
+/// [`parse_run_opts`] as the last parse step of `query`, `batch` and
+/// `serve`:
 /// `--graph` is required, and any argument still left is unknown.
 fn finish_run_opts(args: &mut Vec<String>) -> Result<RunOpts, String> {
     let opts = parse_run_opts(args)?;
@@ -297,13 +278,25 @@ fn engine_config(o: &RunOpts) -> EngineConfig {
     cfg
 }
 
-/// Builds the service and echoes the load line the CLI has always
-/// printed.
+/// Whether the file at `path` is a compact graph image: its first 8
+/// bytes are the image magic, which no N-Triples statement can start
+/// with. A file that cannot be read is not one; the N-Triples loader
+/// then reports why.
+fn is_compact_image(path: &str) -> bool {
+    let mut head = [0u8; MAGIC.len()];
+    std::fs::File::open(path)
+        .and_then(|mut file| file.read_exact(&mut head))
+        .is_ok_and(|()| head == MAGIC)
+}
+
+/// Builds the service over `--graph`, in the format its leading bytes
+/// name, and echoes the load line the CLI has always printed.
 fn load_service(opts: &RunOpts) -> Result<NckService, String> {
     let mut builder = NckService::builder().engine(engine_config(opts));
-    builder = match opts.format {
-        GraphFormat::Ntriples => builder.ntriples(&opts.graph),
-        GraphFormat::Compact => builder.compact_file(&opts.graph),
+    builder = if is_compact_image(&opts.graph) {
+        builder.compact_file(&opts.graph)
+    } else {
+        builder.ntriples(&opts.graph)
     };
     if let Some(backend) = opts.backend {
         builder = builder.backend(backend);
@@ -531,68 +524,46 @@ fn cmd_query(args: &[String]) -> ExitCode {
 
 fn cmd_batch(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
-    let parsed = (|| -> Result<(String, WorkloadRequest, RunOpts), String> {
+    let parsed = (|| -> Result<(String, RunOpts), String> {
         let queries_path = take_flag(&mut args, "--queries")?.ok_or("--queries is required")?;
-        let repeat: usize = match take_flag(&mut args, "--repeat")? {
-            Some(v) => parse_num(&v, "--repeat")?,
-            None => 1,
-        };
-        let mode = match take_flag(&mut args, "--mode")?.as_deref() {
-            None | Some("engine") => WorkloadMode::Engine,
-            Some("sequential") => WorkloadMode::Sequential,
-            Some("compare") => WorkloadMode::Compare,
-            Some(other) => {
-                return Err(format!(
-                    "--mode must be engine, sequential or compare, got {other:?}"
-                ))
-            }
-        };
-        let chunk: usize = match take_flag(&mut args, "--chunk")? {
-            Some(v) => parse_num(&v, "--chunk")?,
-            None => 0,
-        };
-        let clients: Option<usize> = match take_flag(&mut args, "--clients")? {
-            Some(v) => {
-                let n: usize = parse_num(&v, "--clients")?;
-                if n == 0 {
-                    return Err("--clients must be at least 1".into());
-                }
-                Some(n)
-            }
-            None => None,
-        };
-        let request = WorkloadRequest {
-            queries: Vec::new(),
-            repeat: repeat.max(1),
-            mode,
-            chunk,
-            clients,
-        };
-        Ok((queries_path, request, finish_run_opts(&mut args)?))
+        Ok((queries_path, finish_run_opts(&mut args)?))
     })();
-    let (queries_path, mut request, opts) = match parsed {
+    let (queries_path, opts) = match parsed {
         Ok(parsed) => parsed,
         Err(e) => return fail(&e),
     };
     exit_status((|| {
         let text = std::fs::read_to_string(&queries_path)
             .map_err(|e| format!("cannot read {queries_path:?}: {e}"))?;
-        request.queries = text
+        let requests: Vec<QueryRequest> = text
             .lines()
             .map(str::trim)
             .filter(|l| !l.is_empty() && !l.starts_with('#'))
             .map(|l| request_for_line(l, opts.top))
             .collect();
-        if request.queries.is_empty() {
+        if requests.is_empty() {
             return Err(format!("{queries_path}: no queries"));
         }
         let service = load_service(&opts)?;
-        let report = service.workload(&request).map_err(|e| e.to_string())?;
-        if opts.json {
-            println!("{}", json::to_string(&report));
-        } else {
-            print_workload(&report);
+        let started = Instant::now();
+        let responses = service.batch(&requests).map_err(|e| e.to_string())?;
+        let secs = started.elapsed().as_secs_f64();
+        for (i, response) in responses.iter().enumerate() {
+            if opts.json {
+                println!("{}", json::to_string(response));
+            } else {
+                if i > 0 {
+                    println!();
+                }
+                print_response(response);
+            }
         }
+        eprintln!(
+            "batch: {} queries in {secs:.3}s, {:.1} queries/s",
+            responses.len(),
+            responses.len() as f64 / secs.max(1e-12)
+        );
+        print_engine_stats(&service.stats());
         Ok(())
     })())
 }
@@ -606,20 +577,20 @@ fn cmd_batch(args: &[String]) -> ExitCode {
 fn parse_serve(args: &mut Vec<String>) -> Result<(String, ServeConfig, RunOpts), String> {
     let addr = take_flag(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:4517".to_owned());
     let mut config = ServeConfig::default();
-    if let Some(v) = take_flag(args, "--workers")? {
-        config.workers = parse_num(&v, "--workers")?;
-        if config.workers == 0 {
-            return Err("--workers must be at least 1".into());
+    // A zero would refuse all traffic: no worker, no queue slot, no
+    // connection, no frame byte.
+    for (flag, limit) in [
+        ("--workers", &mut config.workers),
+        ("--queue-depth", &mut config.queue_depth),
+        ("--max-connections", &mut config.max_connections),
+        ("--max-frame-bytes", &mut config.max_frame_bytes),
+    ] {
+        if let Some(v) = take_flag(args, flag)? {
+            *limit = parse_num(&v, flag)?;
+            if *limit == 0 {
+                return Err(format!("{flag} must be at least 1"));
+            }
         }
-    }
-    if let Some(v) = take_flag(args, "--queue-depth")? {
-        config.queue_depth = parse_num(&v, "--queue-depth")?;
-    }
-    if let Some(v) = take_flag(args, "--max-connections")? {
-        config.max_connections = parse_num(&v, "--max-connections")?;
-    }
-    if let Some(v) = take_flag(args, "--max-frame-bytes")? {
-        config.max_frame_bytes = parse_num(&v, "--max-frame-bytes")?;
     }
     if let Some(v) = take_flag(args, "--default-deadline-ms")? {
         config.default_deadline_ms = Some(parse_num(&v, "--default-deadline-ms")?);
@@ -709,14 +680,18 @@ fn print_response(response: &QueryResponse) {
     }
 }
 
-/// Per-cache counter table: one row per engine cache, with the shard
-/// count, hit/miss/eviction counters, resident footprint and hit rate
-/// that previously rode only the JSON wire report.
-fn print_cache_stats(st: &notable_characteristics::api::EngineStatsReport) {
-    if let Some(bytes) = st.graph_bytes {
-        println!("graph:     ~{bytes} resident bytes");
-    }
-    println!(
+/// The engine's counters on stderr: executed/submitted work, then one
+/// row per engine cache with its shard count, hit/miss/eviction
+/// counters, resident footprint and hit rate.
+fn print_engine_stats(st: &EngineStatsReport) {
+    eprintln!(
+        "engine: {} executed of {} submitted ({} deduplicated); {} weight build(s)",
+        st.executed,
+        st.submitted,
+        st.deduplicated,
+        st.weight_builds.unwrap_or(0),
+    );
+    eprintln!(
         "{:<10} {:>7} {:>9} {:>9} {:>10} {:>9} {:>12} {:>9}",
         "cache", "shards", "hits", "misses", "evictions", "entries", "bytes", "hit rate"
     );
@@ -725,7 +700,7 @@ fn print_cache_stats(st: &notable_characteristics::api::EngineStatsReport) {
         ("context", &st.context_cache),
         ("ppr", &st.ppr_cache),
     ] {
-        println!(
+        eprintln!(
             "{:<10} {:>7} {:>9} {:>9} {:>10} {:>9} {:>12} {:>8.1}%",
             name,
             s.shards,
@@ -743,63 +718,6 @@ fn fmt_p(p: Option<f64>) -> String {
     match p {
         Some(p) => format!("{p:.4}"),
         None => "-".into(),
-    }
-}
-
-fn print_workload(report: &WorkloadReport) {
-    println!(
-        "workload: {} queries ({} distinct lines × {})",
-        report.queries, report.distinct_lines, report.repeat
-    );
-    if let Some(s) = report.engine_secs {
-        println!(
-            "engine:     {s:.3}s total, {:.1} queries/s",
-            report.queries as f64 / s.max(1e-12)
-        );
-    }
-    if let Some(s) = report.sequential_secs {
-        println!(
-            "sequential: {s:.3}s total, {:.1} queries/s",
-            report.queries as f64 / s.max(1e-12)
-        );
-    }
-    if let Some(speedup) = report.speedup {
-        println!("speedup:    {speedup:.2}× (identical rankings verified)");
-    }
-    if let Some(st) = &report.engine_stats {
-        println!(
-            "engine stats: {} executed of {} submitted ({} deduplicated); \
-             {} weight build(s)",
-            st.executed,
-            st.submitted,
-            st.deduplicated,
-            st.weight_builds.unwrap_or(0),
-        );
-        print_cache_stats(st);
-    }
-    if let Some(c) = &report.concurrent {
-        println!(
-            "concurrent: {} clients, {} queries in {:.3}s — {:.1} queries/s \
-             (rankings verified identical to the single-client run)",
-            c.clients, c.queries, c.secs, c.throughput
-        );
-        println!(
-            "latency:    p50 {:.2}ms, p90 {:.2}ms, p99 {:.2}ms, max {:.2}ms",
-            c.p50_ms, c.p90_ms, c.p99_ms, c.max_ms
-        );
-        println!(
-            "coalesced:  {} results, {} contexts, {} ppr vectors \
-             (duplicate in-flight work absorbed by single-flight)",
-            c.stats.result_coalesced.unwrap_or(0),
-            c.stats.context_coalesced.unwrap_or(0),
-            c.stats.ppr_coalesced.unwrap_or(0),
-        );
-        print_cache_stats(&c.stats);
-    }
-    // Per distinct query line, the top characteristics of its first run.
-    for response in &report.results {
-        println!();
-        print_response(response);
     }
 }
 
@@ -841,28 +759,28 @@ mod tests {
     }
 
     #[test]
-    fn graph_format_parses_both_values() {
-        let mut a = args(&["--graph-format", "compact"]);
-        assert_eq!(parse_run_opts(&mut a).unwrap().format, GraphFormat::Compact);
-        let mut a = args(&["--graph-format", "nt"]);
-        assert_eq!(
-            parse_run_opts(&mut a).unwrap().format,
-            GraphFormat::Ntriples
-        );
-        let mut a = args(&[]);
-        assert_eq!(
-            parse_run_opts(&mut a).unwrap().format,
-            GraphFormat::Ntriples,
-            "nt is the default"
-        );
-    }
-
-    #[test]
-    fn unknown_graph_format_is_rejected_with_the_choices() {
-        let mut a = args(&["--graph-format", "parquet"]);
-        let err = parse_run_opts(&mut a).unwrap_err();
-        assert!(err.contains("must be nt or compact"), "{err}");
-        assert!(err.contains("parquet"), "{err}");
+    fn compact_images_are_recognized_by_their_leading_bytes() {
+        let dir = std::env::temp_dir();
+        let file = |name: &str, bytes: &[u8]| {
+            let path = dir.join(format!("nck-sniff-{}-{name}", std::process::id()));
+            std::fs::write(&path, bytes).unwrap();
+            path.to_str().unwrap().to_owned()
+        };
+        let mut image = MAGIC.to_vec();
+        image.extend_from_slice(b"rest of the header");
+        let cases = [
+            (file("image", &image), true),
+            (file("magic-only", &MAGIC), true),
+            (file("nt", b"<a> <knows> <b> .\n"), false),
+            (file("short", &MAGIC[..7]), false),
+            (file("empty", b""), false),
+        ];
+        for (path, compact) in &cases {
+            assert_eq!(is_compact_image(path), *compact, "{path}");
+            std::fs::remove_file(path).unwrap();
+        }
+        let missing = dir.join(format!("nck-sniff-{}-missing", std::process::id()));
+        assert!(!is_compact_image(missing.to_str().unwrap()));
     }
 
     #[test]
@@ -927,12 +845,5 @@ mod tests {
             batch.extend(args(removed));
             assert_eq!(cmd_batch(&batch), ExitCode::from(2));
         }
-    }
-
-    #[test]
-    fn duplicate_graph_format_is_rejected() {
-        let mut a = args(&["--graph-format", "nt", "--graph-format", "compact"]);
-        let err = parse_run_opts(&mut a).unwrap_err();
-        assert!(err.contains("more than once"), "{err}");
     }
 }

@@ -18,9 +18,9 @@
 //!
 //! - [`api`] — the serde-first service layer: build an
 //!   [`NckService`](api::NckService) over a dataset once, then answer
-//!   [`QueryRequest`](api::QueryRequest)s, batches, streams and
-//!   benchmark workloads through one stable request/response schema,
-//!   with the backend chosen at runtime;
+//!   [`QueryRequest`](api::QueryRequest)s and batches of them through
+//!   one stable request/response schema, with the backend chosen at
+//!   runtime;
 //! - [`graph`] — knowledge-graph substrate: the two graph formats (the
 //!   dictionary-encoded CSR [`KnowledgeGraph`](graph::KnowledgeGraph)
 //!   and the compact, memory-mappable
@@ -95,9 +95,7 @@ pub struct ReadmeDoctests;
 
 /// Commonly used items, re-exported for `use notable_characteristics::prelude::*`.
 pub mod prelude {
-    pub use nck_api::{
-        ApiError, Backend, NckService, QueryRequest, QueryResponse, WorkloadReport, WorkloadRequest,
-    };
+    pub use nck_api::{ApiError, Backend, NckService, QueryRequest, QueryResponse};
     pub use nck_core::config::{ContextRwConfig, FindNcConfig, PathMiningConfig, PprConfig};
     pub use nck_core::context::{Context, ContextSelector, TypeFilter};
     pub use nck_core::context_rw::ContextRw;

@@ -104,6 +104,9 @@ fn serve_argument_errors_exit_2_with_usage() {
     for args in [
         &["serve", "--graph", "g.nt", "--bogus"][..],
         &["serve", "--graph", "g.nt", "--workers", "0"],
+        &["serve", "--graph", "g.nt", "--queue-depth", "0"],
+        &["serve", "--graph", "g.nt", "--max-connections", "0"],
+        &["serve", "--graph", "g.nt", "--max-frame-bytes", "0"],
         &["serve"],
     ] {
         let out = nck(args);

@@ -23,7 +23,7 @@ use notable_characteristics::core::query::Query;
 use notable_characteristics::datagen::{generate, DomainId, GeneratorConfig};
 use notable_characteristics::engine::{EngineConfig, QueryEngine, SelectorMode};
 use notable_characteristics::graph::GraphAccess;
-use notable_characteristics::store::graph_view::to_triple_store;
+use notable_characteristics::store::graph_view::{to_knowledge_graph, to_triple_store};
 use std::sync::Arc;
 
 const THREADS: usize = 8;
@@ -215,7 +215,7 @@ fn concurrent_service_matches_fresh_sequential_service_on_both_backends() {
     for backend in [Backend::Csr, Backend::Compact] {
         let build = || {
             NckService::builder()
-                .triple_store(to_triple_store(&dataset.graph))
+                .knowledge_graph(to_knowledge_graph(&to_triple_store(&dataset.graph)))
                 .backend(backend)
                 .engine(engine_config())
                 .build()

@@ -7,12 +7,13 @@
 //! overridden requests used to be answered, outside the caches.
 //!
 //! Pinned on both backends, under both engine selectors, through
-//! `query`, `batch` (plain and overridden requests mixed) and `stream`,
-//! for each override field alone and for mixed sets, errors included
-//! (same code, same message); plus the cache behavior the one path buys
-//! (a repeated override is a result-cache hit, a |C|-only difference
-//! computes no PageRank) and eight concurrent clients sending mixed
-//! overrides to one service, which derives the weight table once.
+//! `query` and `batch` (plain and overridden requests mixed, in one
+//! batch and in consecutive batches on one service), for each override
+//! field alone and for mixed sets, errors included (same code, same
+//! message); plus the cache behavior the one path buys (a repeated
+//! override is a result-cache hit, a |C|-only difference computes no
+//! PageRank) and eight concurrent clients sending mixed overrides to one
+//! service, which derives the weight table once.
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +31,7 @@ use notable_characteristics::core::query::Query;
 use notable_characteristics::datagen::{generate, Dataset, DomainId, GeneratorConfig};
 use notable_characteristics::engine::{EngineConfig, SelectorMode};
 use notable_characteristics::graph::{ErasedGraph, GraphAccess};
-use notable_characteristics::store::graph_view::to_triple_store;
+use notable_characteristics::store::graph_view::{to_knowledge_graph, to_triple_store};
 use std::sync::{Arc, Barrier};
 
 const BACKENDS: [Backend; 2] = [Backend::Csr, Backend::Compact];
@@ -73,7 +74,7 @@ fn engine_config(selector: SelectorMode) -> EngineConfig {
 
 fn service(dataset: &Dataset, backend: Backend, selector: SelectorMode) -> NckService {
     NckService::builder()
-        .triple_store(to_triple_store(&dataset.graph))
+        .knowledge_graph(to_knowledge_graph(&to_triple_store(&dataset.graph)))
         .backend(backend)
         .engine(engine_config(selector))
         .build()
@@ -318,7 +319,7 @@ fn each_override_matches_a_fresh_pipeline_on_every_backend() {
 /// `batch` and `stream` take plain and overridden requests mixed,
 /// duplicates included, and answer each as its oracle does.
 #[test]
-fn batch_and_stream_mix_plain_and_overridden_requests() {
+fn whole_and_chunked_batches_mix_plain_and_overridden_requests() {
     let dataset = generate(&GeneratorConfig::tiny(13));
     let sets = entity_sets(&dataset);
     for backend in BACKENDS {
@@ -358,11 +359,14 @@ fn batch_and_stream_mix_plain_and_overridden_requests() {
             for (i, (got, want)) in batched.into_iter().zip(&expected).enumerate() {
                 assert_same(&format!("{label}/batch/{i}"), Ok(got), want);
             }
-            let streamed = service(&dataset, backend, selector)
-                .stream(requests.iter().cloned(), 3)
-                .expect("stream");
-            for (i, (got, want)) in streamed.into_iter().zip(&expected).enumerate() {
-                assert_same(&format!("{label}/stream/{i}"), Ok(got), want);
+            // Consecutive batches of 3 on one service: later chunks meet
+            // the caches the earlier ones filled.
+            let chunked = service(&dataset, backend, selector);
+            for (c, (chunk, want)) in requests.chunks(3).zip(expected.chunks(3)).enumerate() {
+                let answers = chunked.batch(chunk).expect("chunk");
+                for (i, (got, want)) in answers.into_iter().zip(want).enumerate() {
+                    assert_same(&format!("{label}/chunk{c}/{i}"), Ok(got), want);
+                }
             }
         }
     }

@@ -15,7 +15,7 @@ use notable_characteristics::core::context::TypeFilter;
 use notable_characteristics::datagen::{generate, DomainId, GeneratorConfig};
 use notable_characteristics::engine::EngineConfig;
 use notable_characteristics::serve::{serve, ServeClient, ServeConfig};
-use notable_characteristics::store::graph_view::to_triple_store;
+use notable_characteristics::store::graph_view::{to_knowledge_graph, to_triple_store};
 use std::sync::Arc;
 
 const CLIENTS: usize = 8;
@@ -63,7 +63,7 @@ fn serve_matches_in_process(backend: Backend) {
     let mix = query_mix(&dataset);
     let service = Arc::new(
         NckService::builder()
-            .triple_store(to_triple_store(&dataset.graph))
+            .knowledge_graph(to_knowledge_graph(&to_triple_store(&dataset.graph)))
             .backend(backend)
             .engine(engine_config())
             .build()
@@ -136,7 +136,7 @@ fn served_errors_match_in_process_bodies() {
     let dataset = generate(&GeneratorConfig::tiny(13));
     let service = Arc::new(
         NckService::builder()
-            .triple_store(to_triple_store(&dataset.graph))
+            .knowledge_graph(to_knowledge_graph(&to_triple_store(&dataset.graph)))
             .engine(engine_config())
             .build()
             .expect("service builds"),
