@@ -333,11 +333,13 @@ impl NckService {
         Ok(splice(request, &result, &encoded, started))
     }
 
-    /// Answers a batch through the engine's batch planner (dedup + seed
-    /// clustering + shared caches). Plain and overridden requests mix
-    /// freely: they group by seed list and the settings they run under.
-    /// Every request is validated before any of them runs. Responses
-    /// come back in input order.
+    /// Answers a batch through the engine: exact repeats run once, and
+    /// the distinct requests are pulled by worker threads in
+    /// first-occurrence order through the shared caches. Plain and
+    /// overridden requests mix freely: they dedup on seed list and the
+    /// settings they run under. Every request is validated before any of
+    /// them runs. Responses come back in input order; if requests fail,
+    /// the first failing one in input order is the error.
     pub fn batch(&self, requests: &[QueryRequest]) -> Result<Vec<QueryResponse>, ApiError> {
         let planned = self.resolve_all(requests)?;
         let results = self.engine.run_batch_with(&planned)?;

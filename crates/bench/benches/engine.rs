@@ -5,7 +5,7 @@
 //! seed pairs, every pair anchored on the domain's most prominent
 //! entity (so >50% of all seeds are shared) and each pair repeated 4
 //! times. `batched_32` executes it cold through a fresh engine (dedup +
-//! scheduling + worker threads); `batched_32_warm` re-submits it to an
+//! worker threads); `batched_32_warm` re-submits it to an
 //! already-warm engine (steady-state serving, all result-cache hits);
 //! `sequential_32` is the `FindNc::discover` loop the engine replaces.
 //!
@@ -100,7 +100,7 @@ fn bench_engine(c: &mut Criterion) {
     // PPR-cache miss, 32 solo graph sweeps either way. Answered one `run`
     // each, they are spread over `parallel::thread_count(32)` scoped
     // threads in contiguous ranges; as one batch, the engine's workers
-    // pull one group at a time. Scoring is held light (small context, no
+    // pull one distinct request at a time. Scoring is held light (small context, no
     // type filter) so the rows measure the PPR cost inside the full
     // engine stack rather than label scoring. Answers must agree bit for
     // bit before any timing.

@@ -5,7 +5,7 @@
 //! Each `clients_N_qM` bench spawns N OS threads over a **fresh shared
 //! engine** and has every client replay the full 32-query repeated-seed
 //! workload through `QueryEngine::run` (the serving path, one query at
-//! a time — no batch planner). M = N × 32 is the total query count, so
+//! a time, never batched). M = N × 32 is the total query count, so
 //! aggregate throughput is `M / median_time`: because concurrent misses
 //! on the same key coalesce to one computation and the caches are
 //! genuinely shared (one `Arc<QueryEngine>`, not per-client copies),

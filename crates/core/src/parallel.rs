@@ -1,4 +1,4 @@
-//! Minimal deterministic fork-join helpers over crossbeam scoped threads.
+//! Minimal deterministic fork-join helpers.
 //!
 //! PathMining (hundreds of thousands of independent walks) and the
 //! per-query-node PageRanks are embarrassingly parallel; [`map_chunks`]
@@ -11,9 +11,9 @@
 //! neighbours to one worker while another idles, so
 //! [`map_costliest_first`] has workers pull one item at a time, the
 //! costliest first, and returns the results in index order. The
-//! engine's batch groups take the same helper with one flat cost, so
-//! workers pull them in plan order. Which worker runs an item, and when,
-//! reaches no result.
+//! engine's batches take the same helper with one flat cost, so workers
+//! pull a batch's distinct requests in first-occurrence order. Which
+//! worker runs an item, and when, reaches no result.
 //!
 //! ## The split reaches no result
 //!
@@ -24,13 +24,13 @@
 //! - PathMining seeds each walk from `(seed, walk index)` alone and sums
 //!   integer counts;
 //! - `RandomWalkSelector` sums its per-seed vectors in seed order;
-//! - the engine's batch groups place their results per group;
+//! - the engine places each batch answer at its request's positions;
 //! - `perfbench`'s label fan-out collects its results per label.
 //!
 //! The worker cap is process-wide ([`set_thread_cap`]): it is operator
 //! configuration (the CLI's `--threads`, `EngineConfig::threads`), never
 //! a per-request setting, so one value governs every fork-join site
-//! (mining walks, per-seed PageRanks, engine batch groups) end to end.
+//! (mining walks, per-seed PageRanks, engine batches) end to end.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -126,19 +126,18 @@ where
     if let [range] = &ranges[..] {
         return fold(init, worker(0, range.clone()));
     }
-    let results: Vec<T> = crossbeam::thread::scope(|s| {
+    let results: Vec<T> = std::thread::scope(|s| {
         let worker = &worker;
         let handles: Vec<_> = ranges
             .into_iter()
             .enumerate()
-            .map(|(i, range)| s.spawn(move |_| worker(i, range)))
+            .map(|(i, range)| s.spawn(move || worker(i, range)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("worker thread panicked"))
             .collect()
-    })
-    .expect("crossbeam scope failed");
+    });
     results.into_iter().fold(init, fold)
 }
 
@@ -178,8 +177,8 @@ where
         done
     };
     let helpers = thread_count(n) - 1;
-    let runs: Vec<Vec<(usize, T)>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..helpers).map(|_| s.spawn(|_| pull())).collect();
+    let runs: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..helpers).map(|_| s.spawn(pull)).collect();
         let mut runs = vec![pull()];
         runs.extend(
             handles
@@ -187,8 +186,7 @@ where
                 .map(|h| h.join().expect("worker thread panicked")),
         );
         runs
-    })
-    .expect("crossbeam scope failed");
+    });
     let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
     for (i, result) in runs.into_iter().flatten() {
         slots[i] = Some(result);

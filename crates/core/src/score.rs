@@ -165,14 +165,6 @@ impl ScoreVec {
         }
     }
 
-    /// Converts into the dense representation, consuming self.
-    pub fn into_dense(self) -> Vec<f64> {
-        match self {
-            ScoreVec::Dense(v) => v,
-            sparse => sparse.to_dense(),
-        }
-    }
-
     /// Element-wise `self += other` (both sides must share `len`).
     ///
     /// Addition order per slot matches a dense `a[i] += b[i]` loop — one

@@ -42,23 +42,21 @@
 //! touching different keys never contend on one global lock, and every
 //! miss runs under **single-flight** ([`crate::flight`]) — concurrent
 //! misses on the same key coalesce onto one computation and all callers
-//! share the resulting `Arc`. Because cached values are exact, both
-//! mechanisms are observationally invisible; `EngineStats` exposes
-//! `*_coalesced` counters so workload reports can show how much
+//! share the resulting `Arc`. Each cache and its flight sit behind one
+//! get-or-compute call (the crate-private `Memo`). Because cached values are
+//! exact, both mechanisms are observationally invisible; `EngineStats`
+//! exposes `*_coalesced` counters so workload reports can show how much
 //! duplicate work concurrency avoided.
 //!
-//! Batches are planned by [`crate::schedule`]: exact repeats (same seed
-//! list, same pipeline key) are executed once and fanned back out, and
-//! distinct queries are clustered around their hottest shared seed so
-//! cache hits land before evictions. Groups then execute across worker
-//! threads, each worker pulling the next group in plan order
-//! ([`nck_core::parallel::map_costliest_first`], the helper FindNC's
-//! label tests use). Every PageRank a group misses is one solo run per
-//! seed under the PPR single-flight, in a batch as in a single request.
+//! A batch is its distinct requests: exact repeats (same seed list,
+//! same pipeline key) are executed once and fanned back out, and
+//! worker threads pull the distinct requests one at a time in
+//! first-occurrence order ([`nck_core::parallel::map_costliest_first`],
+//! the helper FindNC's label tests use), each through the same path a
+//! single request takes.
 
 use crate::cache::{CacheStats, ShardedLru};
-use crate::flight::SingleFlight;
-use crate::schedule;
+use crate::memo::Memo;
 use nck_core::config::{FindNcConfig, PprConfig, RandomWalkConfig};
 use nck_core::context::{top_k_context, CandidateFilter, Context, TypeFilter};
 use nck_core::context_rw::{ContextRw, MatchWorkspace};
@@ -70,8 +68,9 @@ use nck_core::query::Query;
 use nck_core::score::ScoreVec;
 use nck_core::sweep::ScoringWorkspace;
 use nck_graph::{GraphAccess, NodeId};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Which context selector the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -121,11 +120,11 @@ pub struct EngineConfig {
     /// to the same result however its work is split, so answers are
     /// identical under any cap; `Some(1)` runs single-threaded.
     pub threads: Option<usize>,
-    /// Let a batch's groups run across worker threads, each worker
-    /// pulling the next group in plan order; `false` runs them on the
-    /// calling thread. A worker permission only: results are placed per
-    /// group, so they are identical either way (see the [module
-    /// docs](self)).
+    /// Let a batch's distinct requests run across worker threads, each
+    /// worker pulling the next one in first-occurrence order; `false`
+    /// runs them on the calling thread. A worker permission only: each
+    /// answer is placed at the positions of its request, so results are
+    /// identical either way (see the [module docs](self)).
     pub parallel: bool,
 }
 
@@ -201,8 +200,17 @@ impl Pipeline {
     }
 }
 
-/// The result- and context-cache key: the seed list in query order
-/// ([`schedule::canonical_key`]) and the pipeline key.
+/// The result- and context-cache key, and a batch's dedup key: the seed
+/// list and the pipeline key.
+///
+/// The seed list keeps query order rather than being sorted: the σ
+/// scoring of ContextRW and the PageRank summation of the RandomWalk
+/// baseline both accumulate per-seed `f64` contributions in
+/// `query.nodes()` order, and floating-point addition is not
+/// associative — collapsing `[A, B, C]` with `[C, B, A]` could change
+/// results in the last ulp and break the engine's bit-exact parity with
+/// sequential execution. Seed-permuted requests therefore stay distinct
+/// (they still share the per-seed PPR cache).
 type Key = (Vec<NodeId>, Pipeline);
 
 /// Lock stripes per cache: each cache is split into this many
@@ -298,75 +306,50 @@ pub struct QueryEngine<G: GraphAccess + Sync> {
     /// The Eq.-1 weight table every PageRank reads (`O(|E|)` to derive,
     /// identical for every query and every ε), set at most once.
     weights: OnceLock<Arc<EdgeWeights>>,
-    ppr_cache: ShardedLru<(NodeId, u64), Arc<ScoreVec>>,
-    context_cache: ShardedLru<Key, Context>,
-    result_cache: ShardedLru<Key, Arc<Entry>>,
-    ppr_flight: SingleFlight<(NodeId, u64), Arc<ScoreVec>>,
-    context_flight: SingleFlight<Key, Context>,
-    result_flight: SingleFlight<Key, Arc<Entry>>,
+    ppr: Memo<(NodeId, u64), Arc<ScoreVec>>,
+    /// Never has a waiter: a context is computed only by a result
+    /// flight's leader, under the same key.
+    contexts: Memo<Key, Context>,
+    results: Memo<Key, Arc<Entry>>,
     batches: AtomicU64,
     queries: AtomicU64,
     executed_groups: AtomicU64,
     deduplicated: AtomicU64,
     weight_builds: AtomicU64,
     labels_scored: AtomicU64,
-    ppr_workspaces: WorkspacePool,
+    ppr_workspaces: Pool<PprWorkspace>,
+    match_workspaces: Pool<MatchWorkspace>,
+    scoring_workspaces: Pool<ScoringWorkspace>,
 }
 
-/// A pool of scratch workspaces — PageRank, ContextRW metapath
-/// matching and scoring-sweep — checked out around each computation and
-/// returned afterwards, so repeated queries, context selections and
-/// label sweeps reuse their scratch instead of allocating it per query
-/// (and per single-flight leader).
+/// A pool of one kind of scratch workspace — PageRank, ContextRW
+/// metapath matching or the scoring sweep — checked out around each
+/// computation and put back afterwards, so repeated queries, context
+/// selections and label sweeps reuse their scratch instead of
+/// allocating it per query (and per single-flight leader).
 ///
-/// All three pool mutexes are **leaves** of the engine's lock
-/// hierarchy: each checkout/putback locks, pops or pushes, and releases
-/// before any computation or cache/flight call — a guard is never held
-/// across another acquisition (`nck-lint`'s lock-order rule classes
-/// them as `ppr_workspace_pool` / `match_workspace_pool` /
-/// `scoring_workspace_pool` and would flag any nesting).
-#[derive(Debug, Default)]
-struct WorkspacePool {
-    ppr: std::sync::Mutex<Vec<PprWorkspace>>,
-    matching: std::sync::Mutex<Vec<MatchWorkspace>>,
-    scoring: std::sync::Mutex<Vec<ScoringWorkspace>>,
+/// Its mutex is a **leaf** of the engine's lock hierarchy: `take` and
+/// `put` lock, pop or push, and release before any computation or
+/// cache/flight call — a guard is never held across another
+/// acquisition (`nck-lint`'s lock-order rule classes it as
+/// `workspace_pool` and flags any nesting, of one pool in another
+/// included).
+#[derive(Default)]
+struct Pool<T> {
+    items: Mutex<Vec<T>>,
 }
 
-impl WorkspacePool {
-    fn checkout_ppr(&self) -> PprWorkspace {
-        self.ppr
+impl<T: Default> Pool<T> {
+    fn take(&self) -> T {
+        self.items
             .lock()
             .expect("workspace pool lock")
             .pop()
             .unwrap_or_default()
     }
 
-    fn put_ppr(&self, ws: PprWorkspace) {
-        self.ppr.lock().expect("workspace pool lock").push(ws);
-    }
-
-    fn checkout_matching(&self) -> MatchWorkspace {
-        self.matching
-            .lock()
-            .expect("workspace pool lock")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn put_matching(&self, ws: MatchWorkspace) {
-        self.matching.lock().expect("workspace pool lock").push(ws);
-    }
-
-    fn checkout_scoring(&self) -> ScoringWorkspace {
-        self.scoring
-            .lock()
-            .expect("workspace pool lock")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn put_scoring(&self, ws: ScoringWorkspace) {
-        self.scoring.lock().expect("workspace pool lock").push(ws);
+    fn put(&self, item: T) {
+        self.items.lock().expect("workspace pool lock").push(item);
     }
 }
 
@@ -400,30 +383,35 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             graph,
             findnc: FindNc::new(config.findnc.clone()),
             weights,
-            ppr_cache: ShardedLru::with_max_bytes(
-                CACHE_SHARDS,
-                config.ppr_cache_entries,
-                config.ppr_cache_bytes,
+            // PPR vectors are charged their actual representation cost
+            // (`ScoreVec::approx_bytes`); contexts and results one each.
+            ppr: Memo::new(
+                ShardedLru::with_max_bytes(
+                    CACHE_SHARDS,
+                    config.ppr_cache_entries,
+                    config.ppr_cache_bytes,
+                ),
+                |v| v.approx_bytes(),
             ),
-            context_cache: ShardedLru::new(CACHE_SHARDS, config.context_cache_entries),
-            result_cache: ShardedLru::new(CACHE_SHARDS, config.result_cache_entries),
-            ppr_flight: SingleFlight::new(),
-            context_flight: SingleFlight::new(),
-            result_flight: SingleFlight::new(),
+            contexts: Memo::new(
+                ShardedLru::new(CACHE_SHARDS, config.context_cache_entries),
+                |_| 1,
+            ),
+            results: Memo::new(
+                ShardedLru::new(CACHE_SHARDS, config.result_cache_entries),
+                |_| 1,
+            ),
             batches: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             executed_groups: AtomicU64::new(0),
             deduplicated: AtomicU64::new(0),
             weight_builds,
             labels_scored: AtomicU64::new(0),
-            ppr_workspaces: WorkspacePool::default(),
+            ppr_workspaces: Pool::default(),
+            match_workspaces: Pool::default(),
+            scoring_workspaces: Pool::default(),
             config,
         })
-    }
-
-    /// Creates an engine with the default configuration.
-    pub fn with_defaults(graph: G) -> Self {
-        Self::new(graph, EngineConfig::default()).expect("default configuration is valid")
     }
 
     /// The graph backend the engine answers from.
@@ -503,27 +491,19 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
     }
 
     fn key(&self, query: &Query, overrides: &Overrides) -> Key {
-        (schedule::canonical_key(query), self.pipeline(overrides))
+        (query.nodes().to_vec(), self.pipeline(overrides))
     }
 
     /// `run` minus the submitted-query accounting (batch members are
-    /// counted once by [`run_batch`](Self::run_batch)).
+    /// counted once by [`run_batch`](Self::run_batch)), through the
+    /// result cache.
     ///
     /// Cache misses run under single-flight: concurrent misses on the
     /// same key coalesce onto one computation and every caller receives
     /// the same `Arc`. All cached values are exact, so coalescing never
     /// changes what a caller gets back.
     fn run_planned(&self, query: &Query, key: &Key) -> Result<Arc<Entry>, CoreError> {
-        if let Some(hit) = self.result_cache.get(key) {
-            return Ok(hit);
-        }
-        self.result_flight.execute(key.clone(), || {
-            // A previous leader may have finished between our miss and
-            // this flight's start; its insert serves us without a
-            // recomputation (peek: the miss was already counted above).
-            if let Some(hit) = self.result_cache.peek(key) {
-                return Ok(hit);
-            }
+        self.results.get_or_compute(key, || {
             self.executed_groups.fetch_add(1, Ordering::Relaxed);
             let context = self.context_for(query, key)?;
             // The shared `FindNc` reads |C| only to report an empty
@@ -537,61 +517,49 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             }
             // Pooled sweep scratch: the scoring stage of repeated cold
             // queries recycles its per-label maps and count rows.
-            let mut ws = self.ppr_workspaces.checkout_scoring();
+            let mut ws = self.scoring_workspaces.take();
             let scored =
                 self.findnc
                     .discover_with_context_ws(&self.graph, query, &context, &mut ws);
-            self.ppr_workspaces.put_scoring(ws);
+            self.scoring_workspaces.put(ws);
             let entry = Arc::new(Entry {
                 result: Arc::new(scored?),
                 encoded: OnceLock::new(),
             });
             self.labels_scored
                 .fetch_add(entry.result.characteristics.len() as u64, Ordering::Relaxed);
-            self.result_cache.insert(key.clone(), Arc::clone(&entry));
             Ok(entry)
         })
     }
 
-    /// The query's context, via the context cache; misses coalesce
-    /// under single-flight like [`run_planned`](Self::run_planned)'s.
-    /// A miss builds its selector from the pipeline key — both
-    /// constructors are cheap — with every other setting the engine's.
+    /// The query's context, via the context cache. A miss builds its
+    /// selector from the pipeline key — both constructors are cheap —
+    /// with every other setting the engine's.
     fn context_for(&self, query: &Query, key: &Key) -> Result<Context, CoreError> {
-        if let Some(hit) = self.context_cache.get(key) {
-            return Ok(hit);
-        }
-        self.context_flight.execute(key.clone(), || {
-            if let Some(hit) = self.context_cache.peek(key) {
-                return Ok(hit);
+        self.contexts.get_or_compute(key, || match key.1 {
+            Pipeline::ContextRw {
+                context_size,
+                type_filter,
+                walks,
+            } => {
+                let mut config = self.config.findnc.context.clone();
+                config.mining.walks = walks;
+                config.type_filter = type_filter;
+                let mut ws = self.match_workspaces.take();
+                let selected = ContextRw::new(config).select_with_metapaths_ws(
+                    &self.graph,
+                    query,
+                    context_size,
+                    &mut ws,
+                );
+                self.match_workspaces.put(ws);
+                Ok(selected?.0)
             }
-            let context = match key.1 {
-                Pipeline::ContextRw {
-                    context_size,
-                    type_filter,
-                    walks,
-                } => {
-                    let mut config = self.config.findnc.context.clone();
-                    config.mining.walks = walks;
-                    config.type_filter = type_filter;
-                    let mut ws = self.ppr_workspaces.checkout_matching();
-                    let selected = ContextRw::new(config).select_with_metapaths_ws(
-                        &self.graph,
-                        query,
-                        context_size,
-                        &mut ws,
-                    );
-                    self.ppr_workspaces.put_matching(ws);
-                    selected?.0
-                }
-                Pipeline::RandomWalk {
-                    context_size,
-                    type_filter,
-                    epsilon,
-                } => self.randomwalk_context(query, context_size, type_filter, epsilon)?,
-            };
-            self.context_cache.insert(key.clone(), context.clone());
-            Ok(context)
+            Pipeline::RandomWalk {
+                context_size,
+                type_filter,
+                epsilon,
+            } => self.randomwalk_context(query, context_size, type_filter, epsilon),
         })
     }
 
@@ -632,23 +600,22 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         // below — with ε > 0, all seeds compute allocation-free in
         // steady state (at ε = 0 the dense executor runs and allocates
         // per seed, exactly as the pre-sparse engine did).
-        let mut ws = self.ppr_workspaces.checkout_ppr();
+        let mut ws = self.ppr_workspaces.take();
         for &seed in query.nodes() {
             let v = self.ppr_vector(seed, epsilon, &ppr, &mut ws);
             acc.add_assign(&v);
         }
-        self.ppr_workspaces.put_ppr(ws);
+        self.ppr_workspaces.put(ws);
         let filter = CandidateFilter::new(&self.graph, query, type_filter);
         top_k_context(&self.graph, query, acc.iter(), &filter, context_size)
     }
 
     /// The PageRank vector personalized on `seed` at ε, via the PPR
-    /// cache. Cached entries are charged their actual representation
-    /// cost ([`ScoreVec::approx_bytes`]), so sparse vectors no longer pay
-    /// the dense `8·|V|` estimate and the byte budget holds many more of
-    /// them. Concurrent misses on the same key coalesce: one caller
-    /// computes, the rest receive the same `Arc` (identical vectors
-    /// either way — coalescing only saves the duplicate work).
+    /// cache, which charges each vector its actual representation cost
+    /// ([`ScoreVec::approx_bytes`]). Concurrent misses on the same key
+    /// coalesce: one caller computes, the rest receive the same `Arc`
+    /// (identical vectors either way — coalescing only saves the
+    /// duplicate work).
     fn ppr_vector(
         &self,
         seed: NodeId,
@@ -656,24 +623,10 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         ppr: &PersonalizedPageRank<&G>,
         ws: &mut PprWorkspace,
     ) -> Arc<ScoreVec> {
-        let key = (seed, epsilon);
-        if let Some(hit) = self.ppr_cache.get(&key) {
-            return hit;
-        }
-        let flown: Result<Arc<ScoreVec>, std::convert::Infallible> =
-            self.ppr_flight.execute(key, || {
-                if let Some(hit) = self.ppr_cache.peek(&key) {
-                    return Ok(hit);
-                }
-                let v = Arc::new(ppr.run_with(&[seed], ws));
-                self.ppr_cache
-                    .insert_with_cost(key, Arc::clone(&v), v.approx_bytes());
-                Ok(v)
-            });
-        match flown {
-            Ok(v) => v,
-            Err(never) => match never {},
-        }
+        let Ok(v) = self.ppr.get_or_compute(&(seed, epsilon), || {
+            Ok::<_, std::convert::Infallible>(Arc::new(ppr.run_with(&[seed], ws)))
+        });
+        v
     }
 
     /// The engine's shared Eq.-1 weight table, once it exists: from
@@ -686,13 +639,12 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         self.weights.get().cloned()
     }
 
-    /// Executes a batch: plans it (dedup + seed clustering), runs the
-    /// distinct groups across worker threads, each worker pulling the
-    /// next group in plan order, and fans results back out to input
-    /// order. A group's PageRank misses run one seed at a time under the
-    /// per-seed single-flight, exactly as a single request's do.
-    /// `results[i]` answers `queries[i]`; the first failing group (in
-    /// plan order) aborts the batch with its error.
+    /// Executes a batch: dedups it, lets worker threads pull the
+    /// distinct requests one at a time in first-occurrence order, each
+    /// through the single-request path, and places each answer at every
+    /// position of its request. `results[i]` answers `queries[i]`; the
+    /// first failing request in input order aborts the batch with its
+    /// error.
     pub fn run_batch(&self, queries: &[Query]) -> Result<Vec<Arc<SearchResult>>, CoreError> {
         let none = Overrides::default();
         let keys = queries.iter().map(|q| self.key(q, &none)).collect();
@@ -700,7 +652,7 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
     }
 
     /// [`run_batch`](Self::run_batch) with per-request overrides.
-    /// Requests group by their full key — seed list and pipeline key —
+    /// Requests dedup on their full key — seed list and pipeline key —
     /// so plain and overridden requests mix freely in one batch.
     pub fn run_batch_with(
         &self,
@@ -718,34 +670,37 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.queries
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let plan = schedule::plan(&keys);
+        // Each key's distinct index, numbered in first-occurrence order,
+        // and the position where each distinct key first occurs.
+        let mut index: HashMap<&Key, usize> = HashMap::new();
+        let mut first = Vec::new();
+        let distinct: Vec<usize> = keys
+            .iter()
+            .enumerate()
+            .map(|(pos, key)| {
+                *index.entry(key).or_insert_with(|| {
+                    first.push(pos);
+                    first.len() - 1
+                })
+            })
+            .collect();
         self.deduplicated
-            .fetch_add(plan.deduplicated() as u64, Ordering::Relaxed);
-        let groups = &plan.groups;
-        let run_group = |gi: usize| {
-            let rep = groups[gi].representative;
-            self.run_planned(queries[rep], &keys[rep])
-        };
-        // One flat cost keeps the pull order the plan's. Group costs
-        // differ (the planner sorts by seed, not by work), so pulling one
-        // group at a time balances workers where contiguous ranges would
-        // not. Results come back in plan order, so error selection is
-        // deterministic.
-        let per_group = if self.config.parallel {
-            parallel::map_costliest_first(groups.len(), |_| 0, run_group)
+            .fetch_add((keys.len() - first.len()) as u64, Ordering::Relaxed);
+        let run = |d: usize| self.run_planned(queries[first[d]], &keys[first[d]]);
+        // One flat cost: workers pull the distinct requests in index
+        // order, one at a time.
+        let answers = if self.config.parallel {
+            parallel::map_costliest_first(first.len(), |_| 0, run)
         } else {
-            (0..groups.len()).map(run_group).collect()
+            (0..first.len()).map(run).collect()
         };
-        let mut out: Vec<Option<Arc<SearchResult>>> = vec![None; queries.len()];
-        for (group, entry) in groups.iter().zip(per_group) {
-            let entry = entry?;
-            for &pos in &group.positions {
-                out[pos] = Some(Arc::clone(&entry.result));
-            }
-        }
-        Ok(out
+        // Distinct requests are numbered in first-occurrence order, so
+        // the first error among them is the first failing request in
+        // input order.
+        let entries = answers.into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok(distinct
             .into_iter()
-            .map(|r| r.expect("every position belongs to exactly one group"))
+            .map(|d| Arc::clone(&entries[d].result))
             .collect())
     }
 
@@ -757,13 +712,13 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
             executed_groups: self.executed_groups.load(Ordering::Relaxed),
             deduplicated: self.deduplicated.load(Ordering::Relaxed),
             weight_builds: self.weight_builds.load(Ordering::Relaxed),
-            result_coalesced: self.result_flight.coalesced(),
-            context_coalesced: self.context_flight.coalesced(),
-            ppr_coalesced: self.ppr_flight.coalesced(),
+            result_coalesced: self.results.coalesced(),
+            context_coalesced: self.contexts.coalesced(),
+            ppr_coalesced: self.ppr.coalesced(),
             labels_scored: self.labels_scored.load(Ordering::Relaxed),
-            ppr: self.ppr_cache.stats(),
-            context: self.context_cache.stats(),
-            result: self.result_cache.stats(),
+            ppr: self.ppr.stats(),
+            context: self.contexts.stats(),
+            result: self.results.stats(),
         }
     }
 
@@ -773,9 +728,9 @@ impl<G: GraphAccess + Sync> QueryEngine<G> {
     /// hit/miss counters restart with the fresh caches. Useful for
     /// cold-cache measurements.
     pub fn clear_caches(&self) {
-        self.ppr_cache.clear();
-        self.context_cache.clear();
-        self.result_cache.clear();
+        self.ppr.clear();
+        self.contexts.clear();
+        self.results.clear();
     }
 }
 
@@ -877,6 +832,7 @@ mod tests {
         assert!(Arc::ptr_eq(&results[1], &results[3]));
         assert!(!Arc::ptr_eq(&results[0], &results[1]));
         let s = engine.stats();
+        assert_eq!(s.batches, 1);
         assert_eq!(s.queries, 5);
         assert_eq!(s.executed_groups, 2);
         assert_eq!(s.deduplicated, 3);
@@ -996,7 +952,7 @@ mod tests {
             randomwalk: rw,
             ..fast_config()
         };
-        // 8 groups × 2 seeds, all 16 seeds distinct.
+        // 8 queries × 2 seeds, all 16 seeds distinct.
         let queries: Vec<Query> = (0..8)
             .map(|i| {
                 Query::by_names(&g, [format!("leader{i}"), format!("leader{}", i + 8)]).unwrap()
@@ -1013,7 +969,7 @@ mod tests {
                 assert_eq!((cx.label, cx.score), (cy.label, cy.score));
             }
         }
-        // No two groups share a seed, so no miss is a coalesced waiter.
+        // No two queries share a seed, so no miss is a coalesced waiter.
         assert_eq!(batched.stats().ppr.misses, 16, "one miss per seed");
         assert_eq!(per_query.stats().ppr.misses, 16);
         // A warm repeat computes nothing.
@@ -1077,8 +1033,8 @@ mod tests {
         assert_eq!(rw.stats().executed_groups, 1);
     }
 
-    /// Batches group by the full key: the same seeds under two settings
-    /// are two groups, and each answer equals its single run.
+    /// Batches dedup on the full key: the same seeds under two settings
+    /// are two executions, and each answer equals its single run.
     #[test]
     fn batches_group_by_seed_list_and_pipeline_key() {
         let g = leaders();
@@ -1095,13 +1051,80 @@ mod tests {
         let engine = QueryEngine::new(&g, fast_config()).unwrap();
         let results = engine.run_batch_with(&batch).unwrap();
         assert!(Arc::ptr_eq(&results[0], &results[2]));
+        assert!(!Arc::ptr_eq(&results[0], &results[1]));
         assert_eq!(results[0].context.len(), 20);
         assert_eq!(results[1].context.len(), 5);
         let s = engine.stats();
+        assert_eq!((s.batches, s.queries), (1, 3));
         assert_eq!((s.executed_groups, s.deduplicated), (2, 1));
         let single = QueryEngine::new(&g, fast_config()).unwrap();
         let alone = single.run_with(&q, &small).unwrap();
         assert_eq!(alone.context.ranked(), results[1].context.ranked());
+    }
+
+    /// FP accumulation runs in seed order, so `[Obama, Merkel]` is not
+    /// the same request as `[Merkel, Obama]` (see `Key`).
+    #[test]
+    fn seed_permuted_queries_stay_distinct() {
+        let g = leaders();
+        let batch = vec![
+            Query::by_names(&g, ["Merkel", "Obama"]).unwrap(),
+            Query::by_names(&g, ["Obama", "Merkel"]).unwrap(),
+        ];
+        let engine = QueryEngine::new(&g, fast_config()).unwrap();
+        let results = engine.run_batch(&batch).unwrap();
+        assert!(!Arc::ptr_eq(&results[0], &results[1]));
+        let s = engine.stats();
+        assert_eq!((s.batches, s.queries), (1, 2));
+        assert_eq!((s.executed_groups, s.deduplicated), (2, 0));
+    }
+
+    #[test]
+    fn an_empty_batch_runs_nothing() {
+        let g = leaders();
+        let engine = QueryEngine::new(&g, fast_config()).unwrap();
+        assert!(engine.run_batch(&[]).unwrap().is_empty());
+        let s = engine.stats();
+        assert_eq!((s.batches, s.queries), (1, 0));
+        assert_eq!((s.executed_groups, s.deduplicated), (0, 0));
+    }
+
+    /// A failing batch reports its first failing request in input order,
+    /// whatever its seed ids: here the higher id comes first.
+    #[test]
+    fn a_failing_batch_reports_its_first_failing_request() {
+        let mut b = GraphBuilder::new();
+        b.add_triple("Merkel", "memberOf", "G20");
+        let low = b.node("isolated_low");
+        let high = b.node("isolated_high");
+        assert!(low < high);
+        let g = b.build();
+        let request = |name: &str, context_size| {
+            (
+                Query::by_names(&g, [name]).unwrap(),
+                Overrides {
+                    context_size: Some(context_size),
+                    ..Overrides::default()
+                },
+            )
+        };
+        let batch = vec![request("isolated_high", 7), request("isolated_low", 5)];
+        for parallel in [true, false] {
+            let engine = QueryEngine::new(
+                &g,
+                EngineConfig {
+                    parallel,
+                    ..fast_config()
+                },
+            )
+            .unwrap();
+            match engine.run_batch_with(&batch) {
+                Err(CoreError::NotEnoughCandidates { requested, .. }) => {
+                    assert_eq!(requested, 7, "parallel: {parallel}")
+                }
+                other => panic!("expected NotEnoughCandidates, got {other:?}"),
+            }
+        }
     }
 
     /// The PPR cache keys on ε: the same seeds under two ε values miss

@@ -19,15 +19,16 @@
 //! - **[`flight`]** — single-flight computation: concurrent misses on
 //!   the same key coalesce onto one execution and every caller receives
 //!   the same `Arc` (exact values make this observationally invisible);
-//! - **[`schedule`]** — the deterministic batch planner: exact repeats
-//!   collapse to one execution, distinct queries cluster around their
-//!   hottest shared seed so cache hits land before evictions;
-//! - **[`engine`]** — [`QueryEngine`] itself: plans, lets worker
-//!   threads pull the groups one at a time, and fans results back out;
-//!   every PageRank miss, in a batch or not, is one solo run per seed.
-//!   It derives
-//!   the Eq.-1 weight table at most once: at construction in RandomWalk
-//!   mode, else on the first `selector: RandomWalk` override.
+//!   each cache and its flight sit behind one crate-private `Memo`,
+//!   whose get-or-compute call is the only code that looks a key up,
+//!   coalesces a miss and inserts the computed value;
+//! - **[`engine`]** — [`QueryEngine`] itself: dedups a batch, lets
+//!   worker threads pull its distinct requests one at a time in
+//!   first-occurrence order, and places each answer at every position
+//!   that asked for it; every PageRank miss, in a batch or not, is one
+//!   solo run per seed. It derives the Eq.-1 weight table at most once:
+//!   at construction in RandomWalk mode, else on the first `selector:
+//!   RandomWalk` override.
 //!
 //! Every cache stores exact values, so engine output is **id-for-id
 //! identical** to running [`FindNc::discover`] sequentially under the
@@ -76,9 +77,8 @@
 pub mod cache;
 pub mod engine;
 pub mod flight;
-pub mod schedule;
+mod memo;
 
 pub use cache::{CacheStats, LruCache, ShardedLru};
 pub use engine::{Encoded, EngineConfig, EngineStats, Overrides, QueryEngine, SelectorMode};
 pub use flight::SingleFlight;
-pub use schedule::{canonical_key, plan, BatchPlan, QueryGroup};

@@ -134,11 +134,6 @@ impl GraphBuilder {
         self.taxonomy.add_subtype(sub, sup);
     }
 
-    /// Mutable access to the taxonomy (for bulk hierarchy construction).
-    pub fn taxonomy_mut(&mut self) -> &mut Taxonomy {
-        &mut self.taxonomy
-    }
-
     /// Number of nodes interned so far.
     pub fn num_nodes(&self) -> usize {
         self.types.len()

@@ -56,11 +56,6 @@ impl Interner {
         &self.strings[index as usize]
     }
 
-    /// The string at `index`, or `None` when out of range.
-    pub fn try_resolve(&self, index: u32) -> Option<&str> {
-        self.strings.get(index as usize).map(|s| &**s)
-    }
-
     /// Number of interned strings.
     pub fn len(&self) -> usize {
         self.strings.len()
@@ -117,7 +112,6 @@ mod tests {
         assert_eq!(i.resolve(idx), "Barack Obama");
         assert_eq!(i.get("Barack Obama"), Some(idx));
         assert_eq!(i.get("nobody"), None);
-        assert_eq!(i.try_resolve(999), None);
     }
 
     #[test]

@@ -134,23 +134,12 @@ impl LintConfig {
                 // Per-connection writer mutex (innermost: held only for
                 // the duration of one frame write).
                 LockClassSpec::mutex("serve/src/server.rs", Some("writer"), "conn_writer"),
-                // The engine's PPR workspace pool: a leaf mutex, locked
-                // only for a pop or push and never held across another
-                // acquisition.
-                LockClassSpec::mutex("engine/src/engine.rs", Some("ppr"), "ppr_workspace_pool"),
-                // The ContextRW matching and scoring-workspace pools:
-                // leaves like the PPR pool, locked only to check a
-                // workspace out or put it back.
-                LockClassSpec::mutex(
-                    "engine/src/engine.rs",
-                    Some("matching"),
-                    "match_workspace_pool",
-                ),
-                LockClassSpec::mutex(
-                    "engine/src/engine.rs",
-                    Some("scoring"),
-                    "scoring_workspace_pool",
-                ),
+                // The engine's workspace pools (PageRank, metapath
+                // matching, scoring sweep) share one generic `Pool`: a
+                // leaf mutex, locked only for a pop or push and never
+                // held across another acquisition, another pool's
+                // included (self-nesting is a diagnostic).
+                LockClassSpec::mutex("engine/src/engine.rs", Some("items"), "workspace_pool"),
             ],
             lock_hierarchy: vec![
                 s("sharded_lru_stripe"),
@@ -158,9 +147,7 @@ impl LintConfig {
                 s("single_flight_slot"),
                 s("admission_queue"),
                 s("conn_writer"),
-                s("ppr_workspace_pool"),
-                s("match_workspace_pool"),
-                s("scoring_workspace_pool"),
+                s("workspace_pool"),
             ],
             wire_files: vec![s("crates/api/src/"), s("crates/serve/src/wire.rs")],
             golden_path: s("crates/lint/wire_schema.golden"),

@@ -161,10 +161,4 @@ impl ServeClient {
             ))),
         }
     }
-
-    /// Half-closes the write side, signalling a clean end-of-stream to
-    /// the server while responses may still be read.
-    pub fn finish_writes(&mut self) -> io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Write)
-    }
 }

@@ -498,11 +498,29 @@ impl Drop for ServerHandle {
 /// serving `service` under `config`. Returns once the listener is live;
 /// serving continues on background threads until
 /// [`ServerHandle::shutdown`].
+///
+/// A zero `workers`, `queue_depth`, `max_connections` or
+/// `max_frame_bytes` would refuse all traffic, so it fails with
+/// [`io::ErrorKind::InvalidInput`], naming the field, before anything
+/// is bound.
 pub fn serve(
     service: Arc<NckService>,
     addr: impl ToSocketAddrs,
     config: ServeConfig,
 ) -> io::Result<ServerHandle> {
+    for (field, limit) in [
+        ("workers", config.workers),
+        ("queue_depth", config.queue_depth),
+        ("max_connections", config.max_connections),
+        ("max_frame_bytes", config.max_frame_bytes),
+    ] {
+        if limit == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("ServeConfig::{field} must be at least 1"),
+            ));
+        }
+    }
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
@@ -514,7 +532,7 @@ pub fn serve(
         open_connections: AtomicUsize::new(0),
         in_flight: AtomicUsize::new(0),
     });
-    let workers = (0..shared.config.workers.max(1))
+    let workers = (0..shared.config.workers)
         .map(|i| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()

@@ -79,16 +79,6 @@ pub fn ln_factorial(n: u64) -> f64 {
     }
 }
 
-/// Natural logarithm of the binomial coefficient `C(n, k)`.
-///
-/// Returns `f64::NEG_INFINITY` when `k > n` (the coefficient is zero).
-pub fn ln_choose(n: u64, k: u64) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
-}
-
 /// Number of compositions of `n` into `k` non-negative parts,
 /// i.e. the size of the outcome space of a multinomial with `k` categories
 /// and `n` trials: `C(n + k - 1, k - 1)`.
@@ -183,14 +173,6 @@ mod tests {
         for n in [126u64, 127, 128, 129, 500, 10_000] {
             assert_close(ln_factorial(n), ln_gamma(n as f64 + 1.0), 1e-12);
         }
-    }
-
-    #[test]
-    fn ln_choose_matches_pascal() {
-        assert_close(ln_choose(5, 2), 10.0f64.ln(), 1e-12);
-        assert_close(ln_choose(10, 5), 252.0f64.ln(), 1e-12);
-        assert_eq!(ln_choose(3, 7), f64::NEG_INFINITY);
-        assert_close(ln_choose(7, 0), 0.0, 1e-12);
     }
 
     #[test]

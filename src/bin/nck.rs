@@ -695,10 +695,12 @@ fn print_engine_stats(st: &EngineStatsReport) {
         "{:<10} {:>7} {:>9} {:>9} {:>10} {:>9} {:>12} {:>9}",
         "cache", "shards", "hits", "misses", "evictions", "entries", "bytes", "hit rate"
     );
-    for (name, s) in [
-        ("result", &st.result_cache),
-        ("context", &st.context_cache),
-        ("ppr", &st.ppr_cache),
+    // Result and context entries are charged one each, so only the PPR
+    // cache has a byte count to show.
+    for (name, s, bytes) in [
+        ("result", &st.result_cache, "-".to_owned()),
+        ("context", &st.context_cache, "-".to_owned()),
+        ("ppr", &st.ppr_cache, st.ppr_cache.bytes.to_string()),
     ] {
         eprintln!(
             "{:<10} {:>7} {:>9} {:>9} {:>10} {:>9} {:>12} {:>8.1}%",
@@ -708,7 +710,7 @@ fn print_engine_stats(st: &EngineStatsReport) {
             s.misses,
             s.evictions,
             s.len,
-            s.bytes,
+            bytes,
             s.hit_rate() * 100.0,
         );
     }

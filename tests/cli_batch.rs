@@ -85,6 +85,22 @@ fn batch_prints_one_query_json_line_per_query_on_both_formats() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("queries/s"), "{stderr}");
         assert!(stderr.contains("hit rate"), "{stderr}");
+        // The `bytes` column of each cache row: `-` for the result and
+        // context caches, whose entries have no byte cost, and the PPR
+        // cache's byte count.
+        let bytes = |cache: &str| {
+            let row = stderr
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(cache))
+                .unwrap_or_else(|| panic!("no {cache} row:\n{stderr}"));
+            row.split_whitespace().nth(6).map(str::to_owned)
+        };
+        assert_eq!(bytes("result").as_deref(), Some("-"), "{stderr}");
+        assert_eq!(bytes("context").as_deref(), Some("-"), "{stderr}");
+        assert!(
+            bytes("ppr").is_some_and(|b| b.parse::<usize>().is_ok()),
+            "{stderr}"
+        );
         String::from_utf8(out.stdout).expect("UTF-8 stdout")
     };
     let from_nt = batch(&nt);

@@ -197,7 +197,8 @@ fn eviction_under_pressure_keeps_results_exact() {
 /// ε = 1e-4 override, on both graph formats and under worker caps 1, 2,
 /// 16 and unset: every answer equals its own `run_with` on a fresh
 /// engine bit for bit, and each distinct (seed, ε) pair is computed
-/// once. No two groups share a seed, so no miss is a coalesced waiter.
+/// once. No two distinct requests share a seed, so no miss is a
+/// coalesced waiter.
 #[test]
 fn randomwalk_batch_matches_single_requests_under_any_worker_cap() {
     use notable_characteristics::core::parallel;

@@ -342,7 +342,7 @@ fn whole_and_chunked_batches_mix_plain_and_overridden_requests() {
                     expected_response(&graph, r, oracle(&graph, &weights, selector, &case, &query))
                 })
                 .collect();
-            // A batch fails as a whole on its first failing group, so
+            // A batch fails as a whole on its first failing request, so
             // compare answers only where every request succeeds; the
             // failing ones are pinned through `query` above.
             let answerable: Vec<(QueryRequest, _)> = requests

@@ -10,6 +10,8 @@
 use notable_characteristics::api::{NckService, QueryRequest, QueryResponse};
 use notable_characteristics::prelude::GraphBuilder;
 use notable_characteristics::serve::{serve, ClientError, ServeClient, ServeConfig, ServerHandle};
+use std::io;
+use std::net::TcpListener;
 use std::sync::Arc;
 
 /// Worker execution time injected into every request.
@@ -340,4 +342,60 @@ fn unloaded_server_answers_ok() {
     assert_eq!(served.query, "Leader 0,Leader 1");
     let metrics = handle.shutdown();
     assert_eq!(metrics.responses_ok, 1);
+}
+
+/// `serve` refuses a zero limit before it binds: pointed at a port that
+/// is already taken, it reports the limit, not the address.
+fn assert_zero_limit_refused(field: &str, config: ServeConfig) {
+    let taken = TcpListener::bind("127.0.0.1:0").expect("bind a port");
+    let addr = taken.local_addr().expect("local addr");
+    let err = serve(toy_service(), addr, config)
+        .err()
+        .expect("a zero limit is refused");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{field}: {err}");
+    assert!(err.to_string().contains(field), "{field}: {err}");
+}
+
+#[test]
+fn zero_workers_are_refused() {
+    assert_zero_limit_refused(
+        "workers",
+        ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        },
+    );
+}
+
+#[test]
+fn zero_queue_depth_is_refused() {
+    assert_zero_limit_refused(
+        "queue_depth",
+        ServeConfig {
+            queue_depth: 0,
+            ..ServeConfig::default()
+        },
+    );
+}
+
+#[test]
+fn zero_max_connections_is_refused() {
+    assert_zero_limit_refused(
+        "max_connections",
+        ServeConfig {
+            max_connections: 0,
+            ..ServeConfig::default()
+        },
+    );
+}
+
+#[test]
+fn zero_max_frame_bytes_is_refused() {
+    assert_zero_limit_refused(
+        "max_frame_bytes",
+        ServeConfig {
+            max_frame_bytes: 0,
+            ..ServeConfig::default()
+        },
+    );
 }
